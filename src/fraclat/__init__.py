@@ -23,12 +23,10 @@ from .spectral import (
     AtomicMeasure,
     EigenDecomposition,
     argument_principle_count,
-    cdf,
     counting_measure,
     dominates,
     nd_nullity,
     nd_spectrum,
-    scale,
     spectrum,
     sup_cdf_distance,
 )

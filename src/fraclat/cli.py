@@ -4,7 +4,7 @@ Subcommands: validate, spectrum, nd, dos, green, gasket-measure, degrees,
 decimation, matrix.  Outputs are deterministic CSV/JSON files carrying a
 header comment with the command, a config hash and the tolerances.
 Exit codes: 0 ok, 1 invalid configuration, 2 validation failure,
-3 numerical ceiling exceeded.
+3 dense-solve ceiling exceeded.
 """
 
 from __future__ import annotations
@@ -72,17 +72,6 @@ def _load_structure(args) -> StructureSpec:
     if args.structure:
         return StructureSpec.from_json(args.structure)
     raise StructureError("need --builtin or --structure")
-
-
-def _checked_level(spec: StructureSpec, n: int):
-    from .spectral import DENSE_CEILING
-
-    lat = build_level(spec, n)
-    if lat.num_vertices > DENSE_CEILING:
-        raise SizeCeilingError(
-            f"level {n} has {lat.num_vertices} vertices, over the dense ceiling {DENSE_CEILING}"
-        )
-    return lat
 
 
 def _load_base(args, spec: StructureSpec) -> BaseOperator:
@@ -198,8 +187,7 @@ def cmd_spectrum(args) -> int:
     if not validate_structure(spec).ok:
         return EXIT_VALIDATION
     base = _load_base(args, spec)
-    lat = _checked_level(spec, args.level)
-    op = assemble(base, spec, lat)
+    op = assemble(base, spec, build_level(spec, args.level))
     payload = {"command": "spectrum", "structure": spec.to_dict(), "level": args.level,
                "merge_tol": args.merge_tol}
     write = _writer(args, payload)
@@ -221,8 +209,7 @@ def cmd_nd(args) -> int:
     if not validate_structure(spec).ok:
         return EXIT_VALIDATION
     base = _load_base(args, spec)
-    lat = _checked_level(spec, args.level)
-    op = assemble(base, spec, lat)
+    op = assemble(base, spec, build_level(spec, args.level))
     nd = nd_spectrum(op, tol=args.tol, merge_tol=args.merge_tol)
     payload = {"command": "nd", "structure": spec.to_dict(), "level": args.level,
                "tol": args.tol, "merge_tol": args.merge_tol}
@@ -249,8 +236,7 @@ def cmd_dos(args) -> int:
     if not validate_structure(spec).ok:
         return EXIT_VALIDATION
     base = _load_base(args, spec)
-    lat = _checked_level(spec, args.level)
-    op = assemble(base, spec, lat)
+    op = assemble(base, spec, build_level(spec, args.level))
     payload = {"command": "dos", "structure": spec.to_dict(), "level": args.level,
                "points": args.points}
     write = _writer(args, payload)
@@ -405,8 +391,7 @@ def cmd_matrix(args) -> int:
     if not validate_structure(spec).ok:
         return EXIT_VALIDATION
     base = _load_base(args, spec)
-    lat = _checked_level(spec, args.level)
-    op = assemble(base, spec, lat)
+    op = assemble(base, spec, build_level(spec, args.level))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     entries = list(op.coordinate_entries())

@@ -255,19 +255,20 @@ def gasket_conjugacy_holds() -> bool:
     return sympy.simplify(lhs - rhs) == 0
 
 
+def _phat_inverse(t: float) -> tuple[float, float]:
+    """The two real solutions of phat(v) = v(5+2v) = t, for t >= -25/8."""
+    disc = math.sqrt(25.0 + 8.0 * t)
+    return (-5.0 + disc) / 4.0, (-5.0 - disc) / 4.0
+
+
 def phat_preimages(target: float, k: int) -> list[float]:
     """All real solutions of phat^k(v) = target, target in the backward-
-    invariant interval [-5/2, 0]; each step solves 2 v^2 + 5 v = t."""
+    invariant interval [-5/2, 0]."""
     if not -2.5 <= target <= 0.0:
         raise ValueError("target outside the backward-invariant interval [-5/2, 0]")
     level = [float(target)]
     for _ in range(k):
-        nxt = []
-        for t in level:
-            disc = math.sqrt(25.0 + 8.0 * t)
-            nxt.append((-5.0 + disc) / 4.0)
-            nxt.append((-5.0 - disc) / 4.0)
-        level = nxt
+        level = [v for t in level for v in _phat_inverse(t)]
     return sorted(level)
 
 
@@ -279,9 +280,7 @@ def phat_preimage_tree(target: float, k_max: int) -> list[dict]:
     for _ in range(k_max):
         nxt = []
         for idx in frontier:
-            t = records[idx]["location"]
-            disc = math.sqrt(25.0 + 8.0 * t)
-            for root in ((-5.0 + disc) / 4.0, (-5.0 - disc) / 4.0):
+            for root in _phat_inverse(records[idx]["location"]):
                 records.append(
                     {"depth": records[idx]["depth"] + 1, "parent": idx, "location": root}
                 )

@@ -123,7 +123,6 @@ def scalar_product(X: GrassmannElement, Y: GrassmannElement):
     """Canonical scalar product (conjugate-linear in the second argument)."""
     if X.n != Y.n:
         raise ValueError("mismatched generator counts")
-    small, big = (X.coeffs, Y.coeffs) if len(X.coeffs) < len(Y.coeffs) else (Y.coeffs, X.coeffs)
     total = 0
     for k, v in X.coeffs.items():
         w = Y.coeffs.get(k)
@@ -318,18 +317,6 @@ def exp_q(Q) -> GrassmannElement:
     return GrassmannElement(n, coeffs)
 
 
-def quadratic_form(Q) -> GrassmannElement:
-    """etabar Q eta itself (degree-1 part only)."""
-    Q = np.asarray(Q)
-    n = Q.shape[0]
-    coeffs = {}
-    for i in range(n):
-        for j in range(n):
-            if Q[i, j] != 0:
-                coeffs[(1 << i, 1 << j)] = Q[i, j]
-    return GrassmannElement(n, coeffs)
-
-
 def nd_order(Q0, B, subset) -> int:
     """Order of vanishing at 0 of lambda -> restrict(exp_q(Q0 - lambda B), F').
 
@@ -349,12 +336,18 @@ def nd_order(Q0, B, subset) -> int:
             for b in range(n):
                 Qt[a, b] = Fraction(Q0[a, b]) - t * Fraction(B[a, b])
         samples.append(restrict(exp_q(Qt), keep))
+    return vanishing_order(nodes, samples)
+
+
+def vanishing_order(nodes, samples) -> int:
+    """Order of vanishing at 0 of lambda -> X(lambda), from exact samples
+    X(nodes[k]) of an element whose coefficients are polynomials of degree
+    < len(nodes): the minimum over all coefficients of the order of the
+    interpolating polynomial, or len(nodes) when every sample is zero."""
     keys = set()
     for s in samples:
         keys.update(s.coeffs)
-    if not keys:
-        return n + 1  # identically zero: cannot happen for finite matrices
-    order = n + 1
+    order = len(nodes)
     for key in keys:
         values = [s.coeffs.get(key, Fraction(0)) for s in samples]
         poly = _newton_coeffs(nodes, values)
@@ -363,7 +356,7 @@ def nd_order(Q0, B, subset) -> int:
             order = min(order, lead)
             if order == 0:
                 break
-    return order if order <= n else n
+    return order
 
 
 def _newton_coeffs(xs, ys) -> list:

@@ -13,15 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .structure import LatticeLevel, StructureSpec
+from .structure import LatticeLevel, StructureSpec, is_exact
 
 
 class DimensionError(ValueError):
     pass
-
-
-def _is_exact(values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,7 @@ class BaseOperator:
 
     @property
     def exact(self) -> bool:
-        return _is_exact([v for row in self.a for v in row]) and _is_exact(self.b)
+        return is_exact(v for row in self.a for v in row) and is_exact(self.b)
 
     def matrix(self):
         """Full matrix of A (exact entries preserved, object dtype if exact)."""
@@ -111,21 +107,26 @@ class LevelOperator:
     """Assembled A_n (sparse symmetric coordinate entries, exact when the
     inputs are exact) and weights b_n; densified lazily for eigensolves."""
 
-    level: int
     entries: dict
     b: tuple
-    boundary: tuple[int, ...]
     lattice: LatticeLevel
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
-    def size(self) -> int:
-        return len(self.b)
+    def level(self) -> int:
+        return self.lattice.n
+
+    @property
+    def boundary(self) -> tuple[int, ...]:
+        return self.lattice.boundary
 
     @property
     def interior(self) -> tuple[int, ...]:
-        bset = set(self.boundary)
-        return tuple(v for v in range(self.size) if v not in bset)
+        return self.lattice.interior
+
+    @property
+    def size(self) -> int:
+        return len(self.b)
 
     def matrix_float(self) -> np.ndarray:
         if "A" not in self._cache:
@@ -146,20 +147,6 @@ class LevelOperator:
             yield i, j, self.entries[(i, j)]
 
 
-def cell_weights(spec: StructureSpec, prefix, kind: str):
-    """Scaling of the copy on a cell: energy alpha_1^p/prod(alpha), measure
-    prod(beta)/beta_1^p (blow-up fixed to the constant sequence 1)."""
-    if kind == "alpha":
-        w = Fraction(1) if _is_exact(spec.alpha) else 1.0
-        for i in prefix:
-            w = w * spec.alpha[0] / spec.alpha[i]
-        return w
-    w = Fraction(1) if _is_exact(spec.beta) else 1.0
-    for i in prefix:
-        w = w * spec.beta[i] / spec.beta[0]
-    return w
-
-
 def assemble(base: BaseOperator, spec: StructureSpec, lat: LatticeLevel) -> LevelOperator:
     """Sum weighted copies of (A, b) over every n-cell of the lattice."""
     if base.size != spec.N0:
@@ -169,18 +156,12 @@ def assemble(base: BaseOperator, spec: StructureSpec, lat: LatticeLevel) -> Leve
     if lat.spec is not spec and lat.spec != spec:
         raise DimensionError("lattice was built from a different structure")
 
-    exact = base.exact and _is_exact(spec.alpha) and _is_exact(spec.beta)
+    exact = base.exact and is_exact(spec.alpha) and is_exact(spec.beta)
     zero = Fraction(0) if exact else 0.0
     entries: dict = {}
     b = [zero] * lat.num_vertices
     base_mat = base.matrix()
-
-    from .structure import _words
-
-    for prefix in _words(spec.N, lat.n):
-        ids = tuple(lat.word_to_id[prefix + (x,)] for x in range(spec.N0))
-        wa = cell_weights(spec, prefix, "alpha")
-        wb = cell_weights(spec, prefix, "beta")
+    for ids, wa, wb in lat.cells():
         for x in range(spec.N0):
             b[ids[x]] += wb * base.b[x]
             row = base_mat[x]
@@ -190,10 +171,8 @@ def assemble(base: BaseOperator, spec: StructureSpec, lat: LatticeLevel) -> Leve
                     entries[key] = entries.get(key, zero) + wa * row[y]
 
     return LevelOperator(
-        level=lat.n,
         entries={k: v for k, v in entries.items() if v != 0},
         b=tuple(b),
-        boundary=lat.boundary,
         lattice=lat,
     )
 

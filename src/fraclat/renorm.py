@@ -18,13 +18,9 @@ import numpy as np
 from . import grassmann as gr
 from .grassmann import GrassmannElement
 from .operator import BaseOperator, assemble
-from .schur import TracePoleError, trace_on_subset
+from .schur import trace_on_subset
 from .spectral import AtomicMeasure, nd_nullity, nd_spectrum
-from .structure import LatticeLevel, StructureSpec, build_level
-
-
-def _exact_weights(spec: StructureSpec) -> bool:
-    return all(isinstance(a, (int, Fraction)) for a in spec.alpha)
+from .structure import LatticeLevel, StructureSpec, build_level, is_exact
 
 
 @dataclass(frozen=True)
@@ -42,30 +38,30 @@ class RenormContext:
     @classmethod
     def build(cls, spec: StructureSpec) -> "RenormContext":
         lat1 = build_level(spec, 1)
-        images = tuple(
-            tuple(lat1.word_to_id[(i, x)] for x in range(spec.N0))
-            for i in range(spec.N)
-        )
+        cells = list(lat1.cells())
         bsorted = tuple(sorted(lat1.boundary))
         blabels = tuple(lat1.boundary.index(v) for v in bsorted)
-        exact = _exact_weights(spec)
-        scalings = tuple(
-            (Fraction(spec.alpha[0]) / spec.alpha[i]) if exact else spec.alpha[0] / spec.alpha[i]
-            for i in range(spec.N)
-        )
         return cls(
             spec=spec,
             level1=lat1,
-            cell_images=images,
+            cell_images=tuple(ids for ids, _, _ in cells),
             boundary_sorted=bsorted,
             boundary_labels=blabels,
-            energy_scalings=scalings,
+            energy_scalings=tuple(wa for _, wa, _ in cells),
             symg_basis=symmetric_commutant_basis(spec),
         )
 
-    @property
-    def n_generators(self) -> int:
-        return self.spec.N0
+    def vertex_count(self, n: int) -> int:
+        """V_n, the number of vertices at level n, without building it.
+
+        Level n is N copies of level n-1 glued at their boundary points the
+        way level 1 glues N copies of F, so V_n = N V_{n-1} - (N N0 - V_1).
+        """
+        spec = self.spec
+        v = spec.N0
+        for _ in range(n):
+            v = spec.N * v - (spec.N * spec.N0 - self.level1.num_vertices)
+        return v
 
     def c_constant(self, n: int):
         """Constant of the R^n/T^n consistency identity.
@@ -74,14 +70,12 @@ class RenormContext:
         from C_n = C_{n-1}^N * prod_k (alpha_k/alpha_1)^{|interior F_{n-1}|}.
         """
         spec = self.spec
-        exact = _exact_weights(spec)
-        p = Fraction(1) if exact else 1.0
+        p = Fraction(1) if is_exact(spec.alpha) else 1.0
         for k in range(spec.N):
             p = p * spec.alpha[k] / spec.alpha[0]
         e = 0
         for j in range(n):
-            lat = build_level(spec, j)
-            e += (lat.num_vertices - spec.N0) * spec.N ** (n - 1 - j)
+            e += (self.vertex_count(j) - spec.N0) * spec.N ** (n - 1 - j)
         return p**e
 
 
@@ -123,13 +117,12 @@ def is_g_invariant(spec: StructureSpec, Q: np.ndarray, tol: float = 0.0) -> bool
 
 def gasket_matrix(u0, u1) -> np.ndarray:
     """Q = u0 p_W0 + u1 p_W1 on 3 points (W0 = constants)."""
-    third = Fraction(1, 3) if all(isinstance(u, (int, Fraction)) for u in (u0, u1)) else 1.0 / 3.0
+    exact = is_exact((u0, u1))
+    third = Fraction(1, 3) if exact else 1.0 / 3.0
     J = np.full((3, 3), third, dtype=object)
     I = np.diag([1, 1, 1]).astype(object)
     M = u0 * J + u1 * (I - J)
-    if not all(isinstance(u, (int, Fraction)) for u in (u0, u1)):
-        M = np.asarray(M, dtype=complex)
-    return M
+    return M if exact else np.asarray(M, dtype=complex)
 
 
 def gasket_coords(Q: np.ndarray) -> tuple:
@@ -145,22 +138,17 @@ def gasket_coords(Q: np.ndarray) -> tuple:
 
 def level_matrix(ctx: RenormContext, Q: np.ndarray, lat: LatticeLevel | None = None) -> np.ndarray:
     """Assemble Q_<n>: the weighted sum of copies of Q over all n-cells."""
-    spec = ctx.spec
     lat = ctx.level1 if lat is None else lat
     Q = np.asarray(Q)
-    exact = Q.dtype == object and _exact_weights(spec)
     V = lat.num_vertices
-    out = np.zeros((V, V), dtype=object if exact else complex)
-    if exact:
-        out = np.array([[Fraction(0)] * V for _ in range(V)], dtype=object)
-    from .operator import cell_weights
-    from .structure import _words
-
-    for prefix in _words(spec.N, lat.n):
-        ids = tuple(lat.word_to_id[prefix + (x,)] for x in range(spec.N0))
-        w = cell_weights(spec, prefix, "alpha")
-        for x in range(spec.N0):
-            for y in range(spec.N0):
+    if Q.dtype == object and is_exact(ctx.spec.alpha):
+        out = np.full((V, V), Fraction(0), dtype=object)
+    else:
+        out = np.zeros((V, V), dtype=complex)
+    n0 = ctx.spec.N0
+    for ids, w, _ in lat.cells():
+        for x in range(n0):
+            for y in range(n0):
                 if Q[x, y] != 0:
                     out[ids[x], ids[y]] += w * Q[x, y]
     return out
@@ -308,11 +296,12 @@ def harmonicity_residual(
 # -- exact spectral polynomials ---------------------------------------------------
 
 
-def _exact_r_samples(ctx, base: BaseOperator, n: int, nodes) -> list[GrassmannElement]:
-    out = []
-    for t in nodes:
-        out.append(r_iterate(ctx, phi(base, t), n))
-    return out
+def _exact_r_samples(ctx: RenormContext, base: BaseOperator, n: int, deg: int, shift=0):
+    """Integer nodes 0..deg and R^n(phi(node - shift)) at each, exactly."""
+    if not base.exact or not is_exact(ctx.spec.alpha):
+        raise ValueError("exact polynomials need exact rational inputs")
+    nodes = [Fraction(t) for t in range(deg + 1)]
+    return nodes, [r_iterate(ctx, phi(base, t - shift), n) for t in nodes]
 
 
 def dirichlet_poly(ctx: RenormContext, base: BaseOperator, n: int) -> list[Fraction]:
@@ -322,28 +311,16 @@ def dirichlet_poly(ctx: RenormContext, base: BaseOperator, n: int) -> list[Fract
     Dirichlet problem at level n (the negatives of the reported spectrum),
     each with its multiplicity.
     """
-    if not base.exact or not _exact_weights(ctx.spec):
-        raise ValueError("dirichlet_poly needs exact rational inputs")
-    lat = build_level(ctx.spec, n)
-    deg = lat.num_vertices - ctx.spec.N0
-    nodes = [Fraction(t) for t in range(deg + 1)]
-    samples = _exact_r_samples(ctx, base, n, nodes)
-    values = [s.unit_coefficient for s in samples]
-    return gr._newton_coeffs(nodes, values)
+    nodes, samples = _exact_r_samples(ctx, base, n, ctx.vertex_count(n) - ctx.spec.N0)
+    return gr._newton_coeffs(nodes, [s.unit_coefficient for s in samples])
 
 
 def neumann_poly(ctx: RenormContext, base: BaseOperator, n: int) -> list[Fraction]:
     """Coefficients of lambda -> <R^n(phi(lambda)), prod etabar eta>; roots are
     the Neumann pencil eigenvalues at level n."""
-    if not base.exact or not _exact_weights(ctx.spec):
-        raise ValueError("neumann_poly needs exact rational inputs")
-    lat = build_level(ctx.spec, n)
-    deg = lat.num_vertices
-    nodes = [Fraction(t) for t in range(deg + 1)]
-    samples = _exact_r_samples(ctx, base, n, nodes)
+    nodes, samples = _exact_r_samples(ctx, base, n, ctx.vertex_count(n))
     top = gr.generator_pair_product(ctx.spec.N0, range(ctx.spec.N0))
-    values = [gr.scalar_product(s, top) for s in samples]
-    return gr._newton_coeffs(nodes, values)
+    return gr._newton_coeffs(nodes, [gr.scalar_product(s, top) for s in samples])
 
 
 # -- order of vanishing / N-D multiplicities ---------------------------------------
@@ -364,27 +341,10 @@ def rho_n_vanishing_order(ctx: RenormContext, base: BaseOperator, lam0, n: int) 
     The shifted operator line hits the eigenvalue at lambda = 0; feasible
     for small n only (exact Grassmann iteration).
     """
-    if not base.exact or not isinstance(lam0, (int, Fraction)):
+    if not isinstance(lam0, (int, Fraction)):
         raise ValueError("exact path needs rational lam0")
-    lat = build_level(ctx.spec, n)
-    deg = lat.num_vertices
-    nodes = [Fraction(t) for t in range(deg + 1)]
-    samples = []
-    for t in nodes:
-        samples.append(r_iterate(ctx, phi(base, t - Fraction(lam0)), n))
-    keys = set()
-    for s in samples:
-        keys.update(s.coeffs)
-    order = deg + 1
-    for key in keys:
-        values = [s.coeffs.get(key, Fraction(0)) for s in samples]
-        poly = gr._newton_coeffs(nodes, values)
-        lead = next((p for p, c in enumerate(poly) if c != 0), None)
-        if lead is not None:
-            order = min(order, lead)
-            if order == 0:
-                break
-    return order
+    nodes, samples = _exact_r_samples(ctx, base, n, ctx.vertex_count(n), Fraction(lam0))
+    return gr.vanishing_order(nodes, samples)
 
 
 def mu_nd_estimate(ctx: RenormContext, base: BaseOperator, n: int, **kw) -> AtomicMeasure:

@@ -84,9 +84,7 @@ def harmonic_prolongation(Q: np.ndarray, subset, f) -> np.ndarray:
     f = np.asarray(f)
     if f.shape[0] != len(keep):
         raise ValueError("f must live on the subset")
-    out = np.zeros(Q.shape[0], dtype=Q.dtype if Q.dtype != object else object)
-    if Q.dtype == object:
-        out = np.array([Fraction(0)] * Q.shape[0], dtype=object)
+    out = np.empty(Q.shape[0], dtype=Q.dtype)  # keep and drop cover every index
     for pos, i in enumerate(keep):
         out[i] = f[pos]
     if drop:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import LevelOperator
+from .operator import LevelOperator, h_matrices
 
 DEFAULT_MERGE_TOL = 1e-7
 DEFAULT_NULLITY_TOL = 1e-8
@@ -89,14 +89,6 @@ def counting_measure(eig: "EigenDecomposition", merge_tol=DEFAULT_MERGE_TOL) -> 
     return AtomicMeasure.from_points(eig.eigenvalues, merge_tol)
 
 
-def scale(m: AtomicMeasure, c) -> AtomicMeasure:
-    return m.scale(c)
-
-
-def cdf(m: AtomicMeasure, lam: float) -> float:
-    return m.cdf(lam)
-
-
 def sup_cdf_distance(m1: AtomicMeasure, m2: AtomicMeasure) -> float:
     """Kolmogorov distance of the repartition functions, with atoms closer
     than the merge tolerance treated as aligned: the sup runs over points
@@ -167,7 +159,7 @@ def spectrum(op: LevelOperator, boundary_condition: str = "neumann") -> EigenDec
         raise SizeCeilingError(
             f"problem size {op.size} exceeds dense ceiling {DENSE_CEILING}"
         )
-    (An, bn), (Ad, bd) = _split(op)
+    (An, bn), (Ad, bd) = h_matrices(op)
     if boundary_condition == "neumann":
         A, b = An, bn
     elif boundary_condition == "dirichlet":
@@ -176,13 +168,6 @@ def spectrum(op: LevelOperator, boundary_condition: str = "neumann") -> EigenDec
         raise ValueError(f"unknown boundary condition {boundary_condition!r}")
     w, V = _pencil_eigh(A, b)
     return EigenDecomposition(eigenvalues=-w, eigenvectors=V, b=b)
-
-
-def _split(op: LevelOperator):
-    A = op.matrix_float()
-    b = op.b_float()
-    idx = np.array(op.interior, dtype=int)
-    return (A, b), (A[np.ix_(idx, idx)], b[idx])
 
 
 # -- Neumann-Dirichlet detection ----------------------------------------------

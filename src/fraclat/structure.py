@@ -9,7 +9,7 @@ quotients of words.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -27,6 +27,11 @@ def _as_weight(x) -> Fraction | float:
     if isinstance(x, float):
         return x
     raise StructureError(f"bad weight {x!r}")
+
+
+def is_exact(values) -> bool:
+    """True when every value is an int or a Fraction (the exact pipelines)."""
+    return all(isinstance(v, (int, Fraction)) for v in values)
 
 
 @dataclass(frozen=True)
@@ -226,8 +231,7 @@ def validate_structure(spec: StructureSpec) -> ValidationReport:
         failures.append("group-invariance")
 
     prods = [spec.alpha[i] * spec.beta[i] for i in range(spec.N)]
-    exact = all(isinstance(p, Fraction) for p in prods)
-    if exact:
+    if is_exact(prods):
         h_ok = all(p == prods[0] for p in prods)
     else:
         ref = float(prods[0])
@@ -310,12 +314,18 @@ class LatticeLevel:
                 ids.add(v)
         return tuple(sorted(ids))
 
-    def cell_maps(self) -> list[tuple[int, ...]]:
-        """For every full prefix, the N0-tuple of its vertex ids."""
-        out = []
-        for prefix in _words(self.spec.N, self.n):
-            out.append(tuple(self.word_to_id[prefix + (x,)] for x in range(self.spec.N0)))
-        return out
+    def cells(self):
+        """Every n-cell as (vertex ids, energy weight, measure weight).
+
+        The ids are those of cell_vertices(prefix).  The copy on a cell is
+        scaled by alpha_1^n/prod(alpha) in energy and by prod(beta)/beta_1^n
+        in measure (blow-up fixed to the constant sequence 1).
+        """
+        spec = self.spec
+        energy = _prefix_products((spec.alpha[0],) * spec.N, spec.alpha, self.n)
+        measure = _prefix_products(spec.beta, (spec.beta[0],) * spec.N, self.n)
+        for prefix, wa, wb in zip(_words(spec.N, self.n), energy, measure):
+            yield self.cell_vertices(prefix), wa, wb
 
     def vertex_permutation(self, g: Sequence[int]) -> tuple[int, ...]:
         """Vertex permutation induced by a group element."""
@@ -327,12 +337,24 @@ class LatticeLevel:
 
 
 def _words(N: int, n: int):
+    """All n-letter words, last letter slowest: each (n-1)-letter head runs
+    through _words(N, n - 1) once per last letter."""
     if n == 0:
         yield ()
         return
-    for rest in _words(N, n - 1):
-        for j in range(N):
-            yield (j,) + rest
+    heads = list(_words(N, n - 1))
+    for j in range(N):
+        for head in heads:
+            yield head + (j,)
+
+
+def _prefix_products(num, den, n: int) -> list:
+    """prod_k num[j_k] / den[j_k] for every word of _words(len(num), n), in
+    that order; each extends its head's product by one factor."""
+    w = [Fraction(1) if is_exact(tuple(num) + tuple(den)) else 1.0]
+    for _ in range(n):
+        w = [h * num[j] / den[j] for j in range(len(num)) for h in w]
+    return w
 
 
 def build_level(spec: StructureSpec, n: int) -> LatticeLevel:

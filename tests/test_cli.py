@@ -155,3 +155,15 @@ def test_invalid_base_operator_rejected(tmp_path):
 def test_size_ceiling_exit_code(tmp_path):
     assert run(["spectrum", "--builtin", "interval:1/2", "--level", "14",
                 "--out", str(tmp_path)]) == EXIT_CEILING
+
+
+def test_ceiling_applies_to_dense_solves_only(tmp_path, monkeypatch):
+    from fraclat import spectral
+
+    monkeypatch.setattr(spectral, "DENSE_CEILING", 10)  # gasket level 2 has 15 vertices
+    common = ["--builtin", "gasket", "--level", "2", "--out", str(tmp_path)]
+    assert run(["matrix", *common]) == EXIT_OK
+    for cmd in ("spectrum", "nd", "dos"):
+        assert run([cmd, *common]) == EXIT_CEILING
+    for cmd in ("decimation", "gasket-measure"):
+        assert run([cmd, "--n", "2", "--out", str(tmp_path)]) == EXIT_CEILING

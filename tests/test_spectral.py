@@ -14,7 +14,6 @@ from fraclat.spectral import (
     dominates,
     nd_nullity,
     nd_spectrum,
-    scale,
     spectrum,
     sup_cdf_distance,
 )
@@ -67,7 +66,7 @@ def test_counting_measure_basics():
 
 def test_scale_total_mass(gasket_levels):
     m = counting_measure(spectrum(gasket_levels.op(1), "neumann"))
-    assert float(scale(m, Fraction(1, 3)).total_mass) == pytest.approx(2.0)
+    assert float(m.scale(Fraction(1, 3)).total_mass) == pytest.approx(2.0)
 
 
 def test_sup_cdf_distance_and_dos_cauchy(gasket_levels):

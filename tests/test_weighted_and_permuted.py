@@ -24,7 +24,13 @@ from fraclat.renorm import (
     t_iterate,
 )
 from fraclat.spectral import spectrum
-from fraclat.structure import StructureSpec, build_level, builtin_interval, validate_structure
+from fraclat.structure import (
+    StructureSpec,
+    build_level,
+    builtin_gasket,
+    builtin_interval,
+    validate_structure,
+)
 
 
 def zigzag_interval() -> StructureSpec:
@@ -246,3 +252,43 @@ def test_rho_monotone_in_level(gasket_ctx, gasket_base):
         got = rho_n(gasket_ctx, gasket_base, -3.0, n)
         assert got == vals[n]
         assert got >= 3 * vals[n - 1]
+
+
+STRUCTURES = {
+    "gasket": builtin_gasket(),
+    "interval:1/3": builtin_interval(Fraction(1, 3)),
+    "zigzag": zigzag_interval(),
+    "star": star_structure(),
+    "mirror-interval": symmetric_interval(),
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_vertex_count_recursion(name):
+    spec = STRUCTURES[name]
+    ctx = RenormContext.build(spec)
+    for n in range(6):
+        assert ctx.vertex_count(n) == build_level(spec, n).num_vertices
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_level_matrix_equals_assembly(name):
+    # Q_<n> of the base matrix and the assembled A_n share the cell loop;
+    # with exact weights they must agree entry for entry
+    spec = STRUCTURES[name]
+    ctx = RenormContext.build(spec)
+    n0 = spec.N0
+    a = tuple(
+        tuple(Fraction(0) if x == y else Fraction(x + y + 1, 2) for y in range(n0))
+        for x in range(n0)
+    )
+    base = BaseOperator(a=a, b=(Fraction(1),) * n0)
+    for n in range(4):
+        lat = build_level(spec, n)
+        op = assemble(base, spec, lat)
+        dense = np.full((lat.num_vertices,) * 2, Fraction(0), dtype=object)
+        for (i, j), v in op.entries.items():
+            dense[i, j] = v
+        Qn = level_matrix(ctx, base.matrix(), lat)
+        assert Qn.dtype == object
+        assert (Qn == dense).all()
