@@ -11,7 +11,7 @@ import argparse
 import numpy as np
 
 from fraclat.operator import laplacian_base
-from fraclat.renorm import RenormContext, green_of_phi
+from fraclat.renorm import RenormContext, green_of_phi_batch
 from fraclat.structure import builtin_gasket, builtin_interval
 
 
@@ -33,14 +33,16 @@ def main():
     ctx = RenormContext.build(spec)
     base = laplacian_base(spec)
 
-    res = np.linspace(*args.re, args.steps[0])
-    ims = np.linspace(*args.im, args.steps[1])
+    grid = [
+        (re, im)
+        for im in np.linspace(*args.im, args.steps[1])
+        for re in np.linspace(*args.re, args.steps[0])
+    ]
+    ests = green_of_phi_batch(ctx, base, [complex(re, im) for re, im in grid], n_max=args.nmax)
     with open(args.out, "w") as fh:
         fh.write("re_lambda,im_lambda,value,iters,tail\n")
-        for im in ims:
-            for re in res:
-                est = green_of_phi(ctx, base, complex(re, im), n_max=args.nmax)
-                fh.write(f"{re:.6f},{im:.6f},{est.value:.12g},{est.iterations},{est.tail_bound:.3g}\n")
+        for (re, im), est in zip(grid, ests):
+            fh.write(f"{re:.6f},{im:.6f},{est.value:.12g},{est.iterations},{est.tail_bound:.3g}\n")
     print(f"wrote {args.out} ({args.steps[0] * args.steps[1]} points)")
 
 

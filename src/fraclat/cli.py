@@ -10,6 +10,7 @@ Exit codes: 0 ok, 1 invalid configuration, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import dynamics
 from .operator import BaseOperator, assemble, laplacian_base
-from .renorm import RenormContext, green_of_phi, mu_nd_estimate
+from .renorm import RenormContext, green_of_phi_batch, mu_nd_estimate
 from .spectral import (
     SizeCeilingError,
     counting_measure,
@@ -241,9 +242,11 @@ def cmd_dos(args) -> int:
                "points": args.points}
     write = _writer(args, payload)
     scale_f = Fraction(1, spec.N**args.level)
-    for bc in ("neumann", "dirichlet"):
-        meas = counting_measure(spectrum(op, bc)).scale(scale_f)
-        lo = min(float(l) for l, _ in meas.atoms) - 0.1
+    measures = {bc: counting_measure(spectrum(op, bc)).scale(scale_f) for bc in ("neumann", "dirichlet")}
+    for bc, meas in measures.items():
+        # level 0 has no Dirichlet eigenvalues: its CDF is 0 on the Neumann grid
+        atoms = meas.atoms or measures["neumann"].atoms
+        lo = min(float(l) for l, _ in atoms) - 0.1
         grid = np.linspace(lo, 0.0, args.points)
         write(
             f"{spec.name}_n{args.level}_dos_{bc}.csv",
@@ -265,11 +268,13 @@ def cmd_green(args) -> int:
                         args.im_min, args.im_max, args.im_steps],
                "nmax": args.nmax}
     write = _writer(args, payload)
-    rows = []
-    for im in np.linspace(args.im_min, args.im_max, args.im_steps):
-        for re in np.linspace(args.re_min, args.re_max, args.re_steps):
-            est = green_of_phi(ctx, base, complex(re, im), n_max=args.nmax)
-            rows.append((re, im, est.value, est.iterations, est.tail_bound))
+    grid = [
+        (re, im)
+        for im in np.linspace(args.im_min, args.im_max, args.im_steps)
+        for re in np.linspace(args.re_min, args.re_max, args.re_steps)
+    ]
+    ests = green_of_phi_batch(ctx, base, [complex(re, im) for re, im in grid], n_max=args.nmax)
+    rows = [(re, im, e.value, e.iterations, e.tail_bound) for (re, im), e in zip(grid, ests)]
     write(
         f"{spec.name}_green.csv",
         "re_lambda,im_lambda,value,iters,tail",
@@ -320,11 +325,28 @@ def cmd_gasket_measure(args) -> int:
     return EXIT_OK
 
 
+def _builtin_shape(spec: StructureSpec) -> str | None:
+    """"gasket" or "interval" when ``spec`` is structurally that builtin,
+    whatever its name; None otherwise."""
+    candidates = [builtin_gasket()]
+    if spec.N == 2 and 0 < spec.alpha[0] < 1:
+        candidates.append(builtin_interval(spec.alpha[0]))
+    for builtin in candidates:
+        if dataclasses.replace(spec, name=builtin.name) == builtin:
+            return builtin.name
+    return None
+
+
 def cmd_degrees(args) -> int:
     spec = _load_structure(args)
+    shape = _builtin_shape(spec)
+    if shape is None:
+        print("degree tables are available for the gasket and the two-cell interval only",
+              file=sys.stderr)
+        return EXIT_BAD_CONFIG
     payload = {"command": "degrees", "structure": spec.to_dict(), "n": args.n}
     write = _writer(args, payload)
-    if spec.name == "gasket":
+    if shape == "gasket":
         gm = dynamics.gasket_maps()
         _, dhat = dynamics.compose_reduce_1d(gm.ghat, args.n)
         mats = dynamics.bidegree_sequence(gm.g, min(args.n, 4))
@@ -333,28 +355,24 @@ def cmd_degrees(args) -> int:
             (d00, d01), (d10, d11) = dm.entries
             rows.append((k, d00, d01, d10, d11, dm.l_n, dm.l_n ** (1.0 / k)))
         write("gasket_degrees.csv", "n,d00,d01,d10,d11,l_n,l_n^{1/n}", rows)
-        est, seq = dynamics.dynamical_degree([2**k for k in range(1, len(dhat) + 1)])
+        est, _ = dynamics.dynamical_degree(dhat)
         verdict = dynamics.dichotomy_classify(est, spec.N)
         print(f"dhat sequence: {dhat}")
         print(f"bidegree l_n^(1/n) upper bounds: {[round(m.l_n ** (1.0 / (k + 1)), 6) for k, m in enumerate(mats)]}")
         print(f"d_infty estimate (from reduced 1-d iterates): {est}")
         print(f"dichotomy verdict: {verdict}")
         return EXIT_OK
-    if spec.name == "interval":
-        alpha = spec.alpha[0]
-        m = dynamics.interval_maps(alpha)
-        its = dynamics.interval_rhat_iterate_symbolic(m, args.n)
-        degs = [d for _, d in its]
-        rows = [(k + 1, d, d ** (1.0 / (k + 1))) for k, d in enumerate(degs)]
-        write("interval_degrees.csv", "n,dhat_n,dhat_n^{1/n}", rows)
-        est, _ = dynamics.dynamical_degree(degs)
-        verdict = dynamics.dichotomy_classify(est, spec.N)
-        print(f"dhat sequence: {degs}")
-        print(f"d_infty estimate: {est}")
-        print(f"dichotomy verdict: {verdict}")
-        return EXIT_OK
-    print("degree tables are available for the builtin structures", file=sys.stderr)
-    return EXIT_BAD_CONFIG
+    m = dynamics.interval_maps(spec.alpha[0])
+    its = dynamics.interval_rhat_iterate_symbolic(m, args.n)
+    degs = [d for _, d in its]
+    rows = [(k + 1, d, d ** (1.0 / (k + 1))) for k, d in enumerate(degs)]
+    write("interval_degrees.csv", "n,dhat_n,dhat_n^{1/n}", rows)
+    est, _ = dynamics.dynamical_degree(degs)
+    verdict = dynamics.dichotomy_classify(est, spec.N)
+    print(f"dhat sequence: {degs}")
+    print(f"d_infty estimate: {est}")
+    print(f"dichotomy verdict: {verdict}")
+    return EXIT_OK
 
 
 def cmd_decimation(args) -> int:

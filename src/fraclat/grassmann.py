@@ -39,6 +39,15 @@ def _merge_sign(a: int, b: int) -> int:
     return -1 if inv & 1 else 1
 
 
+def _mono_sign(i1: int, j1: int, i2: int, j2: int) -> int:
+    """Sign of the product of canonical monomials (i1, j1) and (i2, j2),
+    or 0 when they share a generator."""
+    if (i1 & i2) or (j1 & j2):
+        return 0
+    sign = _merge_sign(i1, i2) * _merge_sign(j1, j2)
+    return -sign if (i1.bit_count() * i2.bit_count()) & 1 else sign
+
+
 def _interleave_sign(k: int) -> int:
     """Sign relating the interleaved monomial (etabar eta)^k to canonical order."""
     return -1 if (k * (k - 1) // 2) & 1 else 1
@@ -145,13 +154,10 @@ def gr_mul(X: GrassmannElement, Y: GrassmannElement) -> GrassmannElement:
         raise ValueError("mismatched generator counts")
     out: dict = {}
     for (i1, j1), c1 in X.coeffs.items():
-        k1 = i1.bit_count()
         for (i2, j2), c2 in Y.coeffs.items():
-            if (i1 & i2) or (j1 & j2):
+            sign = _mono_sign(i1, j1, i2, j2)
+            if not sign:
                 continue
-            sign = _merge_sign(i1, i2) * _merge_sign(j1, j2)
-            if (k1 * i2.bit_count()) & 1:
-                sign = -sign
             key = (i1 | i2, j1 | j2)
             val = out.get(key, 0) + sign * c1 * c2
             if val == 0:

@@ -129,16 +129,21 @@ class LevelOperator:
         return len(self.b)
 
     def matrix_float(self) -> np.ndarray:
+        """Dense A_n, cached and read-only (the operator is shared)."""
         if "A" not in self._cache:
             A = np.zeros((self.size, self.size))
             for (i, j), v in self.entries.items():
                 A[i, j] = float(v)
+            A.setflags(write=False)
             self._cache["A"] = A
         return self._cache["A"]
 
     def b_float(self) -> np.ndarray:
+        """b_n as floats, cached and read-only."""
         if "b" not in self._cache:
-            self._cache["b"] = np.asarray(self.b, dtype=float)
+            b = np.asarray(self.b, dtype=float)
+            b.setflags(write=False)
+            self._cache["b"] = b
         return self._cache["b"]
 
     def coordinate_entries(self):

@@ -1,16 +1,19 @@
 """Renormalization maps on symmetric matrices and on the Grassmann algebra.
 
 T sends Q to the trace on the level-1 boundary of the assembled Q_<1>;
-R is its degree-N polynomial lift acting on the balanced Grassmann algebra.
+R is its degree-N polynomial lift acting on the balanced Grassmann algebra,
+compiled once per context into a sparse tensor on coefficient vectors.
 The two are tied by R^n(exp_q(Q)) = C_n det((Q_<n>)|interior) exp_q(T^n Q);
-the Green function of R is estimated by a normalized iteration, and the
-Dirichlet/Neumann characteristic polynomials come out of exact R-iteration.
+the Green function of R is estimated by a normalized iteration, batched over
+the spectral parameter, and the Dirichlet/Neumann characteristic polynomials
+come out of exact R-iteration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +54,11 @@ class RenormContext:
             symg_basis=symmetric_commutant_basis(spec),
         )
 
+    @cached_property
+    def r(self) -> "RTensor":
+        """R compiled into a sparse tensor, once per context."""
+        return compile_r(self)
+
     def vertex_count(self, n: int) -> int:
         """V_n, the number of vertices at level n, without building it.
 
@@ -77,6 +85,127 @@ class RenormContext:
         for j in range(n):
             e += (self.vertex_count(j) - spec.N0) * spec.N ** (n - 1 - j)
         return p**e
+
+
+@dataclass(frozen=True)
+class RTensor:
+    """R as a sparse homogeneous polynomial of degree N on the coefficient
+    vector x of the base-cell algebra (coordinates ordered as ``basis``):
+
+        R(x)[out_t] += coef_t * x[idx_t0] * x[idx_t1] * ... * x[idx_t(N-1)]
+
+    Terms are sorted by output coordinate: ``starts`` holds the first term
+    of each nonzero output coordinate and ``outputs`` that coordinate.
+    """
+
+    n: int  # generators of the base-cell algebra
+    basis: tuple[tuple[int, int], ...]  # (I, J) masks of the basis monomials
+    index: dict  # (I, J) -> coordinate
+    idx: np.ndarray  # (terms, N) coordinate of each factor
+    coef: np.ndarray  # (terms,) exact when the energy weights are
+    coef_float: np.ndarray
+    starts: np.ndarray
+    outputs: np.ndarray
+    exact: bool
+
+    def vectors(self, elements) -> np.ndarray:
+        """Coefficient vectors as rows: object dtype when every coefficient
+        and the tensor are exact, else float or complex."""
+        values = [v for X in elements for v in X.coeffs.values()]
+        if self.exact and is_exact(values):
+            dtype = object
+        else:
+            dtype = complex if any(isinstance(v, complex) for v in values) else float
+        x = np.zeros((len(elements), len(self.basis)), dtype=dtype)
+        for row, X in zip(x, elements):
+            for key, v in X.coeffs.items():
+                row[self.index[key]] = v
+        return x
+
+    def element(self, row: np.ndarray) -> GrassmannElement:
+        return GrassmannElement(
+            self.n, {self.basis[d]: v for d, v in enumerate(row.tolist()) if v != 0}
+        )
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """R on every row of the (B, D) array x."""
+        coef = self.coef if x.dtype == object else self.coef_float
+        prod = coef * x[:, self.idx[:, 0]]
+        for col in self.idx.T[1:]:
+            prod = prod * x[:, col]
+        y = np.zeros_like(x)
+        if len(self.starts):
+            y[:, self.outputs] = np.add.reduceat(prod, self.starts, axis=1)
+        return y
+
+
+def _single(X: GrassmannElement) -> tuple[int, int, object]:
+    ((i, j), c), = X.coeffs.items()
+    return i, j, c
+
+
+def compile_r(ctx: RenormContext) -> RTensor:
+    """Find the terms of R by pruned partial products of lifted basis monomials.
+
+    Lifting a basis monomial into cell i (scaled per cell energy) gives one
+    monomial over the level-1 generators, so a partial product over cells
+    0..i is a running (I, J, coefficient) triple.  It is dropped as soon as
+    two factors share a generator, or once it misses an interior generator
+    that no later cell can supply; each surviving full product is restricted
+    to the boundary algebra, which leaves one monomial.
+    """
+    n0, N, V1 = ctx.spec.N0, ctx.spec.N, ctx.level1.num_vertices
+    masks = [[m for m in range(1 << n0) if m.bit_count() == k] for k in range(n0 + 1)]
+    basis = tuple((I, J) for ms in masks for I in ms for J in ms)
+    index = {key: d for d, key in enumerate(basis)}
+    lifts = [
+        [
+            (d, *_single(gr.relabel(GrassmannElement(n0, {(I, J): s ** I.bit_count()}), images, V1)))
+            for d, (I, J) in enumerate(basis)
+        ]
+        for images, s in zip(ctx.cell_images, ctx.energy_scalings)
+    ]
+    interior = (1 << V1) - 1
+    for v in ctx.boundary_sorted:
+        interior &= ~(1 << v)
+    due, later = [0] * N, 0
+    for i in reversed(range(N)):
+        due[i] = interior & ~later
+        for v in ctx.cell_images[i]:
+            later |= 1 << v
+
+    terms = []
+
+    def extend(i, I, J, c, factors):
+        if i == N:
+            res = gr.restrict(GrassmannElement(V1, {(I, J): c}), ctx.boundary_sorted)
+            if ctx.boundary_labels != tuple(range(n0)):
+                res = gr.relabel(res, ctx.boundary_labels)
+            i_out, j_out, c_out = _single(res)
+            terms.append((index[(i_out, j_out)], factors, c_out))
+            return
+        for d, Ii, Ji, ci in lifts[i]:
+            sign = gr._mono_sign(I, J, Ii, Ji)
+            I2, J2 = I | Ii, J | Ji
+            if sign and I2 & due[i] == due[i] and J2 & due[i] == due[i]:
+                extend(i + 1, I2, J2, sign * c * ci, factors + (d,))
+
+    extend(0, 0, 0, 1, ())
+    terms.sort(key=lambda t: t[0])
+    out = np.array([t[0] for t in terms], dtype=np.intp)
+    coef = np.empty(len(terms), dtype=object)
+    coef[:] = [t[2] for t in terms]
+    starts = np.flatnonzero(np.diff(out, prepend=-1))
+    arrays = dict(
+        idx=np.array([t[1] for t in terms], dtype=np.intp).reshape(len(terms), N),
+        coef=coef,
+        coef_float=coef.astype(float),
+        starts=starts,
+        outputs=out[starts],
+    )
+    for a in arrays.values():
+        a.setflags(write=False)
+    return RTensor(n=n0, basis=basis, index=index, exact=is_exact(ctx.energy_scalings), **arrays)
 
 
 def symmetric_commutant_basis(spec: StructureSpec) -> tuple[np.ndarray, ...]:
@@ -182,20 +311,10 @@ def t_iterate(ctx: RenormContext, Q: np.ndarray, n: int) -> np.ndarray:
 
 def r_map(ctx: RenormContext, X: GrassmannElement) -> GrassmannElement:
     """Lift X into every level-1 cell (scaled per cell energy), multiply,
-    and restrict to the boundary algebra."""
+    and restrict to the boundary algebra, by the compiled tensor ctx.r."""
     if X.n != ctx.spec.N0:
         raise ValueError("X must live on the base-cell algebra")
-    V1 = ctx.level1.num_vertices
-    prod: GrassmannElement | None = None
-    for i in range(ctx.spec.N):
-        lifted = gr.relabel(
-            gr.scale_degree(X, ctx.energy_scalings[i]), ctx.cell_images[i], V1
-        )
-        prod = lifted if prod is None else gr.gr_mul(prod, lifted)
-    res = gr.restrict(prod, ctx.boundary_sorted)
-    if ctx.boundary_labels != tuple(range(ctx.spec.N0)):
-        res = gr.relabel(res, ctx.boundary_labels)
-    return res
+    return ctx.r.element(ctx.r.apply(ctx.r.vectors([X]))[0])
 
 
 def r_iterate(ctx: RenormContext, X: GrassmannElement, n: int) -> GrassmannElement:
@@ -234,47 +353,71 @@ class GreenEstimate:
     hit_zero: bool = False
 
 
-def green_estimate(ctx: RenormContext, X: GrassmannElement, n_max: int = 40) -> GreenEstimate:
-    """lim N^{-n} ln ||R^n X|| by normalized iteration.
+def green_batch(ctx: RenormContext, x: np.ndarray, n_max: int = 40) -> list[GreenEstimate]:
+    """lim N^{-n} ln ||R^n x_b|| for every row x_b of the (B, D) array x of
+    coefficient vectors (coordinates as in ctx.r), iterated together.
 
     Telescoping is exact by degree-N homogeneity: with x_{k+1} = R(x_k)/||R(x_k)||
     and g_k = ln ||R(x_k)||, the estimate is ln||X|| + sum g_k / N^{k+1} and the
-    truncation error is at most sup|g_k| / (N^{n_max} (N-1)).
+    truncation error is at most sup|g_k| / (N^{n_max} (N-1)).  A row whose
+    iterate falls under ZERO_NORM_FLOOR at step k stops there (value -inf,
+    k+1 iterations) and is left out of later steps.
     """
     N = ctx.spec.N
-    nrm = gr.norm(X)
-    if nrm == 0:
+    x = np.asarray(x, dtype=complex)
+    nrm = np.sqrt(np.sum(np.abs(x) ** 2, axis=1))
+    if np.any(nrm == 0):
         raise ValueError("green_estimate needs X != 0")
-    x = X.map_coeffs(lambda v: complex(v) / nrm)
-    value = math.log(nrm)
-    history = []
+    B = len(x)
+    x = x / nrm[:, None]
+    value = np.log(nrm)
+    history = np.empty((n_max, B))
+    iterations = np.full(B, n_max)
+    hit_zero = np.zeros(B, dtype=bool)
+    live = np.arange(B)
     for k in range(n_max):
-        y = r_map(ctx, x)
-        ynorm = gr.norm(y)
-        if ynorm <= ZERO_NORM_FLOOR:
-            return GreenEstimate(
-                value=-math.inf,
-                iterations=k + 1,
-                tail_bound=0.0,
-                log_norm_history=tuple(history),
-                hit_zero=True,
-            )
-        g = math.log(ynorm)
-        history.append(g)
-        value += g / N ** (k + 1)
-        x = y.map_coeffs(lambda v: v / ynorm)
-    sup_g = max(abs(g) for g in history) if history else 0.0
-    tail = sup_g / (N**n_max * (N - 1))
-    return GreenEstimate(
-        value=value,
-        iterations=n_max,
-        tail_bound=tail,
-        log_norm_history=tuple(history),
-    )
+        if not len(live):
+            break
+        y = ctx.r.apply(x)
+        ynorm = np.sqrt(np.sum(np.abs(y) ** 2, axis=1))
+        dead = ynorm <= ZERO_NORM_FLOOR
+        if dead.any():
+            iterations[live[dead]] = k + 1
+            hit_zero[live[dead]] = True
+            value[live[dead]] = -math.inf
+            live, y, ynorm = live[~dead], y[~dead], ynorm[~dead]
+        g = np.log(ynorm)
+        history[k, live] = g
+        value[live] += g / float(N ** (k + 1))
+        x = y / ynorm[:, None]
+    out = []
+    for b in range(B):
+        hist = history[: iterations[b] - hit_zero[b], b]
+        tail = 0.0 if hit_zero[b] else float(np.max(np.abs(hist), initial=0.0)) / (N**n_max * (N - 1))
+        out.append(GreenEstimate(
+            value=float(value[b]),
+            iterations=int(iterations[b]),
+            tail_bound=tail,
+            log_norm_history=tuple(hist.tolist()),
+            hit_zero=bool(hit_zero[b]),
+        ))
+    return out
+
+
+def green_estimate(ctx: RenormContext, X: GrassmannElement, n_max: int = 40) -> GreenEstimate:
+    """green_batch for a single element X."""
+    if X.n != ctx.spec.N0:
+        raise ValueError("X must live on the base-cell algebra")
+    return green_batch(ctx, ctx.r.vectors([X]), n_max)[0]
 
 
 def green_of_phi(ctx: RenormContext, base: BaseOperator, lam: complex, n_max: int = 20) -> GreenEstimate:
     return green_estimate(ctx, phi(base, lam), n_max=n_max)
+
+
+def green_of_phi_batch(ctx: RenormContext, base: BaseOperator, lams, n_max: int = 20) -> list[GreenEstimate]:
+    """green_of_phi at every lambda of ``lams``, in one batched iteration."""
+    return green_batch(ctx, ctx.r.vectors([phi(base, lam) for lam in lams]), n_max)
 
 
 def harmonicity_residual(
@@ -287,9 +430,8 @@ def harmonicity_residual(
 ) -> float:
     """5-point discrete-Laplacian residual of G(phi(lambda)) at one point."""
     lam = complex(re_lambda, im_lambda)
-    vals = []
-    for d in (0, h, -h, 1j * h, -1j * h):
-        vals.append(green_of_phi(ctx, base, lam + d, n_max=n_max).value)
+    stencil = [lam + d for d in (0, h, -h, 1j * h, -1j * h)]
+    vals = [est.value for est in green_of_phi_batch(ctx, base, stencil, n_max=n_max)]
     return abs(vals[1] + vals[2] + vals[3] + vals[4] - 4 * vals[0]) / h**2
 
 
@@ -301,7 +443,10 @@ def _exact_r_samples(ctx: RenormContext, base: BaseOperator, n: int, deg: int, s
     if not base.exact or not is_exact(ctx.spec.alpha):
         raise ValueError("exact polynomials need exact rational inputs")
     nodes = [Fraction(t) for t in range(deg + 1)]
-    return nodes, [r_iterate(ctx, phi(base, t - shift), n) for t in nodes]
+    x = ctx.r.vectors([phi(base, t - shift) for t in nodes])
+    for _ in range(n):
+        x = ctx.r.apply(x)
+    return nodes, [ctx.r.element(row) for row in x]
 
 
 def dirichlet_poly(ctx: RenormContext, base: BaseOperator, n: int) -> list[Fraction]:

@@ -79,6 +79,24 @@ def test_dos_output(tmp_path):
     assert all(a[1] >= b[1] - 1e-12 for a, b in zip(rows[:-1], rows[1:]))
 
 
+@pytest.mark.parametrize("level", [0, 1])
+def test_dos_low_levels(tmp_path, level):
+    # level 0 has no Dirichlet eigenvalues: its CDF is written as all zeros
+    assert run(["dos", "--builtin", "gasket", "--level", str(level), "--points", "20",
+                "--out", str(tmp_path)]) == EXIT_OK
+    grids = {}
+    for bc in ("neumann", "dirichlet"):
+        content = lines(tmp_path / f"gasket_n{level}_dos_{bc}.csv")
+        assert content[1] == "lambda,cdf"
+        grids[bc] = [tuple(map(float, l.split(","))) for l in content[2:]]
+        assert len(grids[bc]) == 20
+    assert grids["neumann"][0][1] > 0
+    assert grids["dirichlet"][0][1] == pytest.approx(0 if level == 0 else 3 / 3)
+    if level == 0:
+        assert [x for x, _ in grids["dirichlet"]] == [x for x, _ in grids["neumann"]]
+        assert all(c == 0 for _, c in grids["dirichlet"])
+
+
 def test_green_scan(tmp_path):
     assert run(["green", "--builtin", "gasket", "--re-steps", "3", "--im-steps", "2",
                 "--nmax", "12", "--out", str(tmp_path)]) == EXIT_OK
@@ -116,6 +134,29 @@ def test_degrees_interval(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "dhat sequence: [2, 4, 8]" in out
     assert "case_ii" in out
+
+
+def test_degrees_dispatch_on_structure_not_name(tmp_path, capsys):
+    # a two-cell interval that calls itself "gasket" gets the interval tables
+    spec = {"name": "gasket", "N": 2, "N0": 2, "relation": [[1, 2, 2, 1]],
+            "group": [[1, 2]], "alpha": ["1/3", "2/3"], "beta": ["2/3", "1/3"]}
+    path = tmp_path / "misnamed.json"
+    path.write_text(json.dumps(spec))
+    assert run(["degrees", "--structure", str(path), "--n", "2", "--out", str(tmp_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "case_ii" in out and "bidegree" not in out
+    assert (tmp_path / "interval_degrees.csv").exists()
+    assert not (tmp_path / "gasket_degrees.csv").exists()
+
+
+def test_degrees_refuses_other_structures(tmp_path):
+    # a four-cell chain is neither builtin, whatever its name
+    spec = {"name": "interval", "N": 4, "N0": 2,
+            "relation": [[1, 2, 3, 2], [3, 1, 4, 1], [4, 2, 2, 1]],
+            "group": [[1, 2, 3, 4]], "alpha": [1, 1, 1, 1], "beta": [1, 1, 1, 1]}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(spec))
+    assert run(["degrees", "--structure", str(path), "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
 
 
 def test_decimation_report(tmp_path, capsys):

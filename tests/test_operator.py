@@ -18,6 +18,18 @@ def test_gasket_level1_values(gasket_levels):
     assert all(b[v] == 1 for v in op.boundary)
 
 
+def test_cached_arrays_are_read_only(gasket_base, gasket):
+    from fraclat.spectral import spectrum
+
+    op = assemble(gasket_base, gasket, build_level(gasket, 2))
+    before = spectrum(op, "neumann").eigenvalues
+    with pytest.raises(ValueError):
+        op.matrix_float()[0, 0] = 99
+    with pytest.raises(ValueError):
+        op.b_float()[0] = 99
+    assert np.array_equal(spectrum(op, "neumann").eigenvalues, before)
+
+
 def test_level_zero_is_base(gasket, gasket_base, gasket_levels):
     op = gasket_levels.op(0)
     assert np.array_equal(op.matrix_float(), np.asarray(gasket_base.matrix(), dtype=float))
