@@ -338,6 +338,8 @@ def _builtin_shape(spec: StructureSpec) -> str | None:
 
 
 def cmd_degrees(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     spec = _load_structure(args)
     shape = _builtin_shape(spec)
     if shape is None:

@@ -208,3 +208,12 @@ def test_ceiling_applies_to_dense_solves_only(tmp_path, monkeypatch):
         assert run([cmd, *common]) == EXIT_CEILING
     for cmd in ("decimation", "gasket-measure"):
         assert run([cmd, "--n", "2", "--out", str(tmp_path)]) == EXIT_CEILING
+
+
+@pytest.mark.parametrize("builtin", ["gasket", "interval:1/3"])
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_degrees_refuses_no_steps(tmp_path, builtin, n):
+    out = tmp_path / "out"
+    assert run(["degrees", "--builtin", builtin, "--n", n, "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert not out.exists()
+    assert not list(tmp_path.rglob("*_degrees.csv"))

@@ -4,11 +4,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from sympy import QQ
 
+from fraclat import dynamics
 from fraclat.dynamics import (
-    BiProjectiveMap,
-    DegreeMatrix,
     GASKET_EXCEPTIONAL,
+    U0,
+    U1,
+    V0,
+    V1,
+    BiProjectiveMap,
+    CoefficientBlowup,
+    DegreeMatrix,
+    IntervalMaps,
     RationalMap1D,
     bidegree_sequence,
     compose_reduce_1d,
@@ -72,23 +80,28 @@ def test_bidegree_sequence_submultiplicative(gm):
 
 
 def test_product_map_block_diagonal_degrees(gm):
-    from fraclat.dynamics import U0, U1, V0, V1
-
-    # (ghat acting on the first factor, identity on the second)
-    num = gm.ghat.numerator.as_expr().subs(sympy.Symbol("z"), U0 / V0) * V0**2
-    den = gm.ghat.denominator.as_expr().subs(sympy.Symbol("z"), U0 / V0) * V0**2
-    prod = BiProjectiveMap(
-        ((sympy.expand(num), sympy.expand(den)), (U1, V1))
+    # (ghat acting on the first factor, identity on the second):
+    # P(U0/V0) V0^2 over Q(U0/V0) V0^2
+    num, den = (
+        sum((c * U0**i * V0 ** (2 - i) for (i,), c in p.iterterms()), 0 * U0)
+        for p in (gm.ghat.numerator, gm.ghat.denominator)
     )
+    prod = BiProjectiveMap(((num, den), (U1, V1)))
     assert prod.degree_matrix().entries == ((2, 0), (0, 1))
 
 
-def test_lift_component_form(gm):
-    from fraclat.dynamics import U0, U1, V0, V1
+def test_biprojective_map_refuses_mixed_degrees():
+    # equal top degrees in block 0 (2 and 2), but u0 v0 + v0 is not homogeneous
+    with pytest.raises(ValueError, match="not bihomogeneous in block 0"):
+        BiProjectiveMap(((U0 * V0 + V0, V0**2), (U1, V1)))
+    with pytest.raises(ValueError, match="not bihomogeneous in block 1"):
+        BiProjectiveMap(((U0, V0), (U1, V1**2)))
 
+
+def test_lift_component_form(gm):
     lift = gm.lift
-    assert sympy.expand(lift[0] - 3 * U0 * U1 * V1) == 0
-    assert sympy.expand(lift[1] - (2 * U0 * V1**2 + V0 * U1 * V1)) == 0
+    assert lift[0] == 3 * U0 * U1 * V1
+    assert lift[1] == 2 * U0 * V1**2 + V0 * U1 * V1
 
 
 def test_preimages_depth_zero():
@@ -193,11 +206,12 @@ def test_decimation_containment(gasket_levels):
 def test_interval_maps_formulas():
     m = interval_maps(Fraction(1, 3))
     assert m.delta == Fraction(1, 2)
-    a, d, q = sympy.symbols("a d q")
-    # rhat = p(Q) T(Q) with p = delta (a + d/delta)
-    p = sympy.Rational(1, 2) * (a + 2 * d)
-    for comp, t in zip(m.rhat, m.t_coords):
-        assert sympy.simplify(comp - p * t) == 0
+    nums, den = m.t_coords
+    a, d, q = den.ring.gens
+    # rhat = p(Q) T(Q) with p = delta (a + d/delta), T = nums / den
+    p = QQ(1, 2) * (a + 2 * d)
+    for comp, num in zip(m.rhat, nums):
+        assert comp * den == p * num
 
 
 def test_interval_rhat_algebraically_stable():
@@ -213,36 +227,32 @@ def test_interval_zero_locus_description():
     # delta^k a + d = 0 for k = 2-n .. 1.
     m = interval_maps(Fraction(1, 3))
     its = interval_rhat_iterate_symbolic(m, 3)
-    a, d, q = sympy.symbols("a d q")
+    a, d, q = its[0][0][0].ring.gens
     lines = {
         1: [a + 2 * d],
         2: [a + 2 * d, a + d],
         3: [a + 2 * d, a + d, 2 * a + d],
     }
     for n, (comps, _) in enumerate(its, 1):
-        at_q0 = [sympy.expand(c.subs(q, 0)) for c in comps]
+        at_q0 = [c.compose(q, 0) for c in comps]
         assert at_q0[2] == 0  # the q-component vanishes identically on {q=0}
-        g = sympy.gcd(sympy.Poly(at_q0[0], a, d), sympy.Poly(at_q0[1], a, d))
-        factors = sympy.factor_list(g.as_expr())[1]
-        got = {sympy.expand(sympy.monic(sympy.Poly(f, a, d)).as_expr()) for f, _ in factors}
-        want = {sympy.expand(sympy.monic(sympy.Poly(l, a, d)).as_expr()) for l in lines[n]}
+        g = at_q0[0].gcd(at_q0[1])
+        got = {f.monic() for f, _ in g.factor_list()[1]}
+        want = {l.monic() for l in lines[n]}
         assert got == want
 
 
 def test_interval_phi_avoids_zero_locus_symbolically():
     m = interval_maps(Fraction(1, 2))
-    lam = sympy.Symbol("lam")
-    a, d, q = sympy.symbols("a d q")
-    coords = interval_phi_coords(lam)
     for n, (comps, _) in enumerate(interval_rhat_iterate_symbolic(m, 4), 1):
-        vals = [
-            sympy.Poly(sympy.expand(c.subs({a: coords[0], d: coords[1], q: coords[2]})), lam)
-            for c in comps
-        ]
+        gens = comps[0].ring.gens
+        # restrict to the phi-line, its parameter lambda carried by the first generator
+        line = list(zip(gens, interval_phi_coords(gens[0])))
+        vals = [c.compose(line) for c in comps]
         g = vals[0]
         for p in vals[1:]:
-            g = sympy.gcd(g, p)
-        assert g.total_degree() == 0  # no common root: mu^ND = 0
+            g = g.gcd(p)
+        assert g.is_ground  # no common root: mu^ND = 0
 
 
 def test_interval_green_cauchy():
@@ -272,3 +282,162 @@ def test_growth_check_slope_and_sentinel():
     data = [(n, 3.1 * 2**n) for n in range(3, 8)]
     assert growth_check(data) == pytest.approx(math.log(2), abs=1e-12)
     assert growth_check([(1, 0.0), (2, 0.0)]) == -math.inf
+
+
+# -- reference: the Expr/Poly composition (subs, expand, gcd, cancel) -----------
+# The module composes on sympy's sparse rings; these are the formulas it
+# replaced, kept to check the ring results against.
+
+_z = sympy.Symbol("z")
+_u0, _v0, _u1, _v1 = sympy.symbols("u0 v0 u1 v1")
+_a, _d, _q = sympy.symbols("a d q")
+
+
+def ref_reduced_1d(P, Q):
+    if P.is_zero:
+        return sympy.Poly(0, _z, domain="QQ"), sympy.Poly(1, _z, domain="QQ")
+    g = sympy.gcd(P, Q)
+    P, Q = sympy.div(P, g)[0], sympy.div(Q, g)[0]
+    lead = Q.LC()
+    return sympy.Poly(P / lead, _z, domain="QQ"), sympy.Poly(Q / lead, _z, domain="QQ")
+
+
+def ref_from_coeffs_1d(num, den):
+    return ref_reduced_1d(
+        *(sympy.Poly([sympy.Rational(c) for c in reversed(cs)], _z, domain="QQ") for cs in (num, den))
+    )
+
+
+def ref_compose_1d(f, other):
+    """f after other, both (numerator, denominator) Poly pairs."""
+    d = max(f[0].degree(), f[1].degree())
+    Ax, Bx = other[0].as_expr(), other[1].as_expr()
+    num, den = (
+        sum((c * Ax**i * Bx ** (d - i) for i, c in enumerate(p.all_coeffs()[::-1])), sympy.Integer(0))
+        for p in f
+    )
+    return ref_reduced_1d(
+        sympy.Poly(sympy.expand(num), _z, domain="QQ"), sympy.Poly(sympy.expand(den), _z, domain="QQ")
+    )
+
+
+def ref_compose_bi(pairs, other):
+    """pairs after other, each a pair of (P, Q) Exprs in u0, v0, u1, v1."""
+    subs = {_u0: other[0][0], _v0: other[0][1], _u1: other[1][0], _v1: other[1][1]}
+    out = []
+    for P, Q in pairs:
+        Pn = sympy.expand(P.subs(subs, simultaneous=True))
+        Qn = sympy.expand(Q.subs(subs, simultaneous=True))
+        g = sympy.gcd(
+            sympy.Poly(Pn, _u0, _v0, _u1, _v1, domain="QQ"),
+            sympy.Poly(Qn, _u0, _v0, _u1, _v1, domain="QQ"),
+        ).as_expr()
+        out.append((sympy.expand(sympy.cancel(Pn / g)), sympy.expand(sympy.cancel(Qn / g))))
+    return tuple(out)
+
+
+def ref_rhat(alpha):
+    dl = sympy.Rational(alpha / (1 - alpha))
+    den = _a + _d / dl
+    return tuple(
+        sympy.expand(dl * e) for e in (_a * den - _q**2 / dl, dl * _d * den - dl * _q**2, -(_q**2))
+    )
+
+
+def ref_rhat_iterate(alpha, n):
+    rhat = ref_rhat(alpha)
+    cur = rhat
+    out = []
+    for k in range(n):
+        polys = [sympy.Poly(c, _a, _d, _q, domain="QQ") for c in cur]
+        g = polys[0]
+        for p in polys[1:]:
+            g = sympy.gcd(g, p)
+        if g.total_degree() > 0:
+            cur = tuple(sympy.expand(sympy.cancel(c / g.as_expr())) for c in cur)
+        out.append(cur)
+        subs = {_a: cur[0], _d: cur[1], _q: cur[2]}
+        cur = tuple(sympy.expand(c.subs(subs, simultaneous=True)) for c in rhat)
+    return out
+
+
+def ref_rhat_numeric(self, v):
+    """The lift written out by hand in numpy."""
+    a, d, q = v
+    dl = float(self.delta)
+    den = a + d / dl
+    return np.array(
+        [dl * (a * den - q * q / dl), dl * (dl * d * den - dl * q * q), -dl * q * q]
+    )
+
+
+@pytest.mark.parametrize(
+    "name, coeffs", [("ghat", ([0, 5, 1], [1, 3, 2])), ("phat", ([0, 5, 2], [1]))]
+)
+def test_1d_iterates_match_reference(gm, name, coeffs):
+    ref_f = ref_from_coeffs_1d(*coeffs)
+    ref = ref_f
+    for n in range(1, 5):
+        got, _ = compose_reduce_1d(getattr(gm, name), n)
+        assert sympy.Poly(got.numerator.as_expr(), _z, domain="QQ") == ref[0]
+        assert sympy.Poly(got.denominator.as_expr(), _z, domain="QQ") == ref[1]
+        ref = ref_compose_1d(ref_f, ref)
+
+
+def test_bidegree_iterates_match_reference_up_to_scalar(gm):
+    ref_g = (
+        (3 * _u0 * _u1, 2 * _u0 * _v1 + _u1 * _v0),
+        (3 * _u1 * (_u0 * _v1 + _u1 * _v0), 5 * _u1 * _v0 * _v1 + _u0 * _v1**2),
+    )
+    gens = (_u0, _v0, _u1, _v1)
+    cur, ref = gm.g, ref_g
+    for n in range(1, 4):
+        if n > 1:
+            cur, ref = gm.g.compose(cur), ref_compose_bi(ref_g, ref)
+        for (P, Q), (rP, rQ) in zip(cur.pairs, ref, strict=True):
+            P, Q = (sympy.Poly(e.as_expr(), *gens, domain="QQ") for e in (P, Q))
+            rP, rQ = (sympy.Poly(e, *gens, domain="QQ") for e in (rP, rQ))
+            scalar = rP.LC() / P.LC()
+            assert P * scalar == rP and Q * scalar == rQ
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3)])
+def test_rhat_iterates_match_reference(alpha):
+    got = interval_rhat_iterate_symbolic(interval_maps(alpha), 3)
+    for (comps, _), ref in zip(got, ref_rhat_iterate(alpha, 3), strict=True):
+        for c, r in zip(comps, ref, strict=True):
+            assert sympy.Poly(c.as_expr(), _a, _d, _q, domain="QQ") == sympy.Poly(r, _a, _d, _q, domain="QQ")
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 7)])
+def test_interval_green_matches_hand_written_lift(alpha, monkeypatch):
+    # the seeded points of test_interval_green_cauchy
+    m = interval_maps(alpha)
+    rng = np.random.default_rng(0)
+    points = [
+        interval_phi_coords(complex(rng.uniform(-4, 1), rng.uniform(0.3, 1.5))) for _ in range(10)
+    ]
+    got = [interval_green_estimate(m, Q, n)[0] for Q in points for n in (20, 30)]
+    monkeypatch.setattr(IntervalMaps, "rhat_numeric", ref_rhat_numeric)
+    want = [interval_green_estimate(m, Q, n)[0] for Q in points for n in (20, 30)]
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+
+
+def test_coefficient_ceiling_applies_to_every_iteration(gm, monkeypatch):
+    monkeypatch.setattr(dynamics, "COEFF_BIT_LIMIT", 4)
+    with pytest.raises(CoefficientBlowup):
+        compose_reduce_1d(gm.ghat, 4)
+    with pytest.raises(CoefficientBlowup):
+        bidegree_sequence(gm.g, 3)
+    with pytest.raises(CoefficientBlowup):
+        interval_rhat_iterate_symbolic(interval_maps(Fraction(1, 3)), 4)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_iterations_need_one_step(gm, n):
+    with pytest.raises(ValueError):
+        compose_reduce_1d(gm.ghat, n)
+    with pytest.raises(ValueError):
+        bidegree_sequence(gm.g, n)
+    with pytest.raises(ValueError):
+        interval_rhat_iterate_symbolic(interval_maps(Fraction(1, 3)), n)
