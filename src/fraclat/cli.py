@@ -75,6 +75,21 @@ def _load_structure(args) -> StructureSpec:
     raise StructureError("need --builtin or --structure")
 
 
+class _ValidationFailed(Exception):
+    """The structure fails the axioms; the command exits with EXIT_VALIDATION."""
+
+
+def _load(args):
+    """(spec, base, op) for the structure and base options: validated, and
+    with op the assembled level args.level, or None without --level."""
+    spec = _load_structure(args)
+    if not validate_structure(spec).ok:
+        raise _ValidationFailed
+    base = _load_base(args, spec)
+    level = getattr(args, "level", None)
+    return spec, base, None if level is None else assemble(base, spec, build_level(spec, level))
+
+
 def _load_base(args, spec: StructureSpec) -> BaseOperator:
     if getattr(args, "base", None):
         with open(args.base) as fh:
@@ -184,11 +199,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    spec = _load_structure(args)
-    if not validate_structure(spec).ok:
-        return EXIT_VALIDATION
-    base = _load_base(args, spec)
-    op = assemble(base, spec, build_level(spec, args.level))
+    spec, _, op = _load(args)
     payload = {"command": "spectrum", "structure": spec.to_dict(), "level": args.level,
                "merge_tol": args.merge_tol}
     write = _writer(args, payload)
@@ -206,11 +217,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_nd(args) -> int:
-    spec = _load_structure(args)
-    if not validate_structure(spec).ok:
-        return EXIT_VALIDATION
-    base = _load_base(args, spec)
-    op = assemble(base, spec, build_level(spec, args.level))
+    spec, _, op = _load(args)
     nd = nd_spectrum(op, tol=args.tol, merge_tol=args.merge_tol)
     payload = {"command": "nd", "structure": spec.to_dict(), "level": args.level,
                "tol": args.tol, "merge_tol": args.merge_tol}
@@ -233,11 +240,7 @@ def cmd_nd(args) -> int:
 
 
 def cmd_dos(args) -> int:
-    spec = _load_structure(args)
-    if not validate_structure(spec).ok:
-        return EXIT_VALIDATION
-    base = _load_base(args, spec)
-    op = assemble(base, spec, build_level(spec, args.level))
+    spec, _, op = _load(args)
     payload = {"command": "dos", "structure": spec.to_dict(), "level": args.level,
                "points": args.points}
     write = _writer(args, payload)
@@ -258,10 +261,7 @@ def cmd_dos(args) -> int:
 
 
 def cmd_green(args) -> int:
-    spec = _load_structure(args)
-    if not validate_structure(spec).ok:
-        return EXIT_VALIDATION
-    base = _load_base(args, spec)
+    spec, base, _ = _load(args)
     ctx = RenormContext.build(spec)
     payload = {"command": "green", "structure": spec.to_dict(),
                "grid": [args.re_min, args.re_max, args.re_steps,
@@ -312,13 +312,8 @@ def cmd_gasket_measure(args) -> int:
         records = []
         for target in (-1.5, -2.5):
             offset = len(records)
-            tree = dynamics.phat_preimage_tree(target, args.kmax)
-            for r in tree:
-                records.append({
-                    "depth": r["depth"],
-                    "parent": r["parent"] + offset if r["parent"] >= 0 else -1,
-                    "location": r["location"],
-                })
+            records += [dict(r, parent=r["parent"] + offset if r["parent"] >= 0 else -1)
+                        for r in dynamics.phat_preimage_tree(target, args.kmax)]
         with open(args.tree_out, "w") as fh:
             json.dump(records, fh, indent=1)
         print(f"wrote preimage tree ({len(records)} nodes)")
@@ -380,26 +375,23 @@ def cmd_degrees(args) -> int:
 def cmd_decimation(args) -> int:
     spec = builtin_gasket()
     base = laplacian_base(spec)
-    gm = dynamics.gasket_maps()
     payload = {"command": "decimation", "n": args.n, "tol": args.tol}
     write = _writer(args, payload)
     rows = []
     worst = 0.0
-    for n in range(1, args.n + 1):
-        op_hi = assemble(base, spec, build_level(spec, n))
-        op_lo = assemble(base, spec, build_level(spec, n - 1))
-        hi = spectrum(op_hi, "dirichlet").eigenvalues
-        lo = np.concatenate(
-            [spectrum(op_lo, "neumann").eigenvalues,
-             spectrum(op_lo, "dirichlet").eigenvalues]
-        )
-        for lam in hi:
+    lo = None  # Neumann and Dirichlet spectra of the previous level
+    for n in range(args.n + 1):
+        op = assemble(base, spec, build_level(spec, n))
+        hi = spectrum(op, "dirichlet").eigenvalues
+        for lam in hi:  # none at level 0, where every vertex is on the boundary
             if any(abs(lam - e) <= 1e-9 for e in dynamics.GASKET_EXCEPTIONAL):
                 continue
             image = 2.0 * lam * lam + 5.0 * lam  # phat in operator convention
             err = float(np.min(np.abs(lo - image)))
             worst = max(worst, err)
             rows.append((n, lam, image, err))
+        if n < args.n:
+            lo = np.concatenate([spectrum(op, "neumann").eigenvalues, hi])
     write("decimation_report.csv", "level,lambda,phat_lambda,distance_to_coarse_spectrum", rows)
     ok = worst <= args.tol
     print(f"decimation containment: worst distance {worst:.3e} (tol {args.tol:.1e}) -> {'pass' if ok else 'FAIL'}")
@@ -407,11 +399,7 @@ def cmd_decimation(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    spec = _load_structure(args)
-    if not validate_structure(spec).ok:
-        return EXIT_VALIDATION
-    base = _load_base(args, spec)
-    op = assemble(base, spec, build_level(spec, args.level))
+    spec, _, op = _load(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     entries = list(op.coordinate_entries())
@@ -454,6 +442,8 @@ def run(argv=None) -> int:
         return EXIT_BAD_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         return COMMANDS[args.command](args)
+    except _ValidationFailed:
+        return EXIT_VALIDATION
     except (StructureError, FileNotFoundError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG

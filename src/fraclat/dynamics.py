@@ -256,31 +256,32 @@ def _phat_inverse(t: float) -> tuple[float, float]:
     return (-5.0 + disc) / 4.0, (-5.0 - disc) / 4.0
 
 
+def _preimage_levels(target: float, k_max: int) -> list[list[float]]:
+    """Depths 0..k_max of the preimage tree of target, breadth first: the
+    children of the j-th location at one depth are the (2j)-th and the
+    (2j+1)-th at the next."""
+    levels = [[float(target)]]
+    for _ in range(k_max):
+        levels.append([v for t in levels[-1] for v in _phat_inverse(t)])
+    return levels
+
+
 def phat_preimages(target: float, k: int) -> list[float]:
     """All real solutions of phat^k(v) = target, target in the backward-
     invariant interval [-5/2, 0]."""
     if not -2.5 <= target <= 0.0:
         raise ValueError("target outside the backward-invariant interval [-5/2, 0]")
-    level = [float(target)]
-    for _ in range(k):
-        level = [v for t in level for v in _phat_inverse(t)]
-    return sorted(level)
+    return sorted(_preimage_levels(target, k)[-1])
 
 
 def phat_preimage_tree(target: float, k_max: int) -> list[dict]:
     """Preimage tree as flat records {depth, parent, location}; parent indexes
     the record list, -1 for the root."""
-    records = [{"depth": 0, "parent": -1, "location": float(target)}]
-    frontier = [0]
-    for _ in range(k_max):
-        nxt = []
-        for idx in frontier:
-            for root in _phat_inverse(records[idx]["location"]):
-                records.append(
-                    {"depth": records[idx]["depth"] + 1, "parent": idx, "location": root}
-                )
-                nxt.append(len(records) - 1)
-        frontier = nxt
+    records: list[dict] = []
+    for depth, level in enumerate(_preimage_levels(target, k_max)):
+        above = len(records) - len(level) // 2  # first record one depth up
+        records += [{"depth": depth, "parent": above + j // 2 if depth else -1, "location": v}
+                    for j, v in enumerate(level)]
     return records
 
 
@@ -292,12 +293,12 @@ def gasket_limit_measure(k_max: int) -> AtomicMeasure:
     3^{-k-1}/2 at every k-th preimage of -3/2 and -5/2, k <= k_max."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    trees = [_preimage_levels(target, k_max) for target in (-1.5, -2.5)]
     atoms: list[tuple[float, Fraction]] = [(-3.0, Fraction(1, 2))]
     for k in range(k_max + 1):
-        mass = Fraction(1, 2) * Fraction(1, 3 ** (k + 1))
-        for target in (-1.5, -2.5):
-            for loc in phat_preimages(target, k):
-                atoms.append((loc, mass))
+        mass = Fraction(1, 2 * 3 ** (k + 1))
+        for levels in trees:
+            atoms += [(loc, mass) for loc in sorted(levels[k])]
     return AtomicMeasure.from_atoms(atoms, merge_tol=1e-9)
 
 

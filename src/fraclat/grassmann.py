@@ -10,12 +10,18 @@ and subsets are stored as bitmasks.  Coefficients may be exact
 paths share the code.  exp of a quadratic form etabar Q eta carries the
 minors of Q as coefficients; restriction to a subset is the interior
 product by the product of the dropped generator pairs.
+
+Batched code works on coefficient rows, one column per basis monomial in the
+order of ``basis(n)``; this module owns that layout and its conversions.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -87,6 +93,11 @@ class GrassmannElement:
             coeffs[key] = coeffs.get(key, 0) + c
         return cls(n, {k: v for k, v in coeffs.items() if v != 0})
 
+    @classmethod
+    def from_row(cls, n: int, row: np.ndarray) -> "GrassmannElement":
+        """The element whose coefficient row (coordinates of basis(n)) is row."""
+        return cls(n, {key: v for key, v in zip(basis(n), row.tolist()) if v != 0})
+
     def __getitem__(self, key) -> object:
         I, J = key
         if isinstance(I, int) and isinstance(J, int):
@@ -126,6 +137,40 @@ class GrassmannElement:
         if scalar == 0:
             return GrassmannElement.zero(self.n)
         return self.map_coeffs(lambda v: scalar * v)
+
+
+@functools.cache
+def basis(n: int) -> tuple[tuple[int, int], ...]:
+    """Coordinate order of coefficient rows on n generators: the (I, J)
+    masks of the balanced monomials by size, then I, then J, ascending.
+    The unit is the first coordinate and the top monomial the last."""
+    masks = [[m for m in range(1 << n) if m.bit_count() == k] for k in range(n + 1)]
+    return tuple((I, J) for ms in masks for I in ms for J in ms)
+
+
+@functools.cache
+def basis_index(n: int) -> Mapping[tuple[int, int], int]:
+    """(I, J) -> coordinate in basis(n), read-only since it is shared."""
+    return MappingProxyType({key: d for d, key in enumerate(basis(n))})
+
+
+def rows(elements) -> np.ndarray:
+    """Coefficient rows of elements on a common generator count: object dtype
+    when every coefficient is exact (int or Fraction), else float or complex."""
+    n = elements[0].n
+    if any(X.n != n for X in elements):
+        raise ValueError("mismatched generator counts")
+    values = [v for X in elements for v in X.coeffs.values()]
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        dtype = object
+    else:
+        dtype = complex if any(isinstance(v, complex) for v in values) else float
+    index = basis_index(n)
+    x = np.zeros((len(elements), len(index)), dtype=dtype)
+    for row, X in zip(x, elements):
+        for key, v in X.coeffs.items():
+            row[index[key]] = v
+    return x
 
 
 def scalar_product(X: GrassmannElement, Y: GrassmannElement):
@@ -284,43 +329,36 @@ def _det_exact(M: list[list]) -> object:
     return sign * A[k - 1][k - 1]
 
 
-def _minor_dets(Q: np.ndarray, exact: bool):
-    dtype = complex if np.iscomplexobj(Q) else float
+def exp_q_rows(Q) -> np.ndarray:
+    """exp(etabar Q eta) for each matrix of the (B, n, n) stack Q, as rows.
 
-    def det(imask: int, jmask: int):
-        I = _bits(imask)
-        J = _bits(jmask)
-        sub = [[Q[a, b] for b in J] for a in I]
-        if exact:
-            return _det_exact(sub)
-        return dtype(np.linalg.det(np.asarray(sub, dtype=dtype)))
-
-    return det
+    The (I, J) coordinate is the (I, J) minor, with the sign from re-sorting
+    the interleaved monomial into canonical order; the unit carries 1.
+    Exact input (object or integer dtype) gives Fraction rows, one Bareiss
+    determinant per minor and matrix; float input one batched det per minor.
+    """
+    Q = np.asarray(Q)
+    B, n = Q.shape[:2]
+    if Q.shape != (B, n, n):
+        raise ValueError("every matrix of Q must be square")
+    exact = Q.dtype == object or np.issubdtype(Q.dtype, np.integer)
+    if not exact:
+        Q = Q.astype(complex if np.iscomplexobj(Q) else float)
+    keys = basis(n)
+    x = np.zeros((B, len(keys)), dtype=object if exact else Q.dtype)
+    x[:, 0] = Fraction(1) if exact else 1.0
+    for d, (I, J) in enumerate(keys[1:], 1):
+        I, J = _bits(I), _bits(J)
+        s = _interleave_sign(len(I))
+        minors = Q[:, I][:, :, J]
+        x[:, d] = [s * _det_exact(m.tolist()) for m in minors] if exact else s * np.linalg.det(minors)
+    return x
 
 
 def exp_q(Q) -> GrassmannElement:
-    """exp(etabar Q eta): the (I, J) coefficient is the (I, J) minor of Q,
-    with the sign from re-sorting the interleaved monomial into canonical
-    order; the empty pair carries 1."""
+    """exp(etabar Q eta) of one square matrix: exp_q_rows on a stack of one."""
     Q = np.asarray(Q)
-    n = Q.shape[0]
-    if Q.shape != (n, n):
-        raise ValueError("Q must be square")
-    exact = Q.dtype == object or np.issubdtype(Q.dtype, np.integer)
-    det = _minor_dets(Q, exact)
-    one = Fraction(1) if exact else 1.0
-    coeffs: dict = {(0, 0): one}
-    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for m in range(1, 1 << n):
-        masks_by_size[m.bit_count()].append(m)
-    for k in range(1, n + 1):
-        s = _interleave_sign(k)
-        for im in masks_by_size[k]:
-            for jm in masks_by_size[k]:
-                d = det(im, jm)
-                if d != 0:
-                    coeffs[(im, jm)] = s * d
-    return GrassmannElement(n, coeffs)
+    return GrassmannElement.from_row(len(Q), exp_q_rows(Q[None])[0])
 
 
 def nd_order(Q0, B, subset) -> int:
@@ -330,36 +368,26 @@ def nd_order(Q0, B, subset) -> int:
     recovered by Newton interpolation at integer nodes; the order equals
     dim{f in ker Q0 : f vanishes on F'}.
     """
-    Q0 = np.asarray(Q0)
-    B = np.asarray(B)
+    to_fraction = np.frompyfunc(Fraction, 1, 1)
+    Q0 = to_fraction(np.asarray(Q0))
+    B = to_fraction(np.asarray(B))
     n = Q0.shape[0]
     keep = sorted(set(int(i) for i in subset))
     nodes = [Fraction(t) for t in range(n + 1)]
-    samples = []
-    for t in nodes:
-        Qt = np.empty((n, n), dtype=object)
-        for a in range(n):
-            for b in range(n):
-                Qt[a, b] = Fraction(Q0[a, b]) - t * Fraction(B[a, b])
-        samples.append(restrict(exp_q(Qt), keep))
-    return vanishing_order(nodes, samples)
+    x = exp_q_rows(np.stack([Q0 - t * B for t in nodes]))
+    return vanishing_order(nodes, rows([restrict(GrassmannElement.from_row(n, r), keep) for r in x]))
 
 
-def vanishing_order(nodes, samples) -> int:
-    """Order of vanishing at 0 of lambda -> X(lambda), from exact samples
-    X(nodes[k]) of an element whose coefficients are polynomials of degree
-    < len(nodes): the minimum over all coefficients of the order of the
-    interpolating polynomial, or len(nodes) when every sample is zero."""
-    keys = set()
-    for s in samples:
-        keys.update(s.coeffs)
+def vanishing_order(nodes, x) -> int:
+    """Order of vanishing at 0 of lambda -> X(lambda), from the exact rows
+    x[k] = X(nodes[k]) of an element whose coefficients are polynomials of
+    degree < len(nodes): the minimum over all coordinates of the order of
+    the interpolating polynomial, or len(nodes) when every sample is zero."""
     order = len(nodes)
-    for key in keys:
-        values = [s.coeffs.get(key, Fraction(0)) for s in samples]
-        poly = _newton_coeffs(nodes, values)
-        lead = next((p for p, c in enumerate(poly) if c != 0), None)
-        if lead is not None:
-            order = min(order, lead)
+    for column in np.asarray(x).T:
+        if any(column):
+            poly = _newton_coeffs(nodes, list(column))
+            order = min(order, next(p for p, c in enumerate(poly) if c != 0))
             if order == 0:
                 break
     return order
@@ -372,13 +400,12 @@ def _newton_coeffs(xs, ys) -> list:
     for level in range(1, k):
         for i in range(k - 1, level - 1, -1):
             dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
-    coeffs = [Fraction(0)] * k
-    # Horner expansion of the Newton form.
+    # Horner expansion of the Newton form; after step i the polynomial has
+    # k - i coefficients, so only that live prefix is updated.
+    coeffs: list = []
     for i in range(k - 1, -1, -1):
-        new = [Fraction(0)] * k
-        new[0] = dd[i]
-        for p in range(k - 1):
-            new[p + 1] += coeffs[p]
-            new[p] += -xs[i] * coeffs[p]
+        new = [dd[i]] + coeffs
+        for p, c in enumerate(coeffs):
+            new[p] -= xs[i] * c
         coeffs = new
     return coeffs

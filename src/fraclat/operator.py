@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -105,9 +106,10 @@ def laplacian_base(spec: StructureSpec) -> BaseOperator:
 @dataclass(frozen=True)
 class LevelOperator:
     """Assembled A_n (sparse symmetric coordinate entries, exact when the
-    inputs are exact) and weights b_n; densified lazily for eigensolves."""
+    inputs are exact, in a read-only mapping) and weights b_n; densified
+    lazily for eigensolves."""
 
-    entries: dict
+    entries: MappingProxyType  # (row, col) -> value
     b: tuple
     lattice: LatticeLevel
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -176,7 +178,7 @@ def assemble(base: BaseOperator, spec: StructureSpec, lat: LatticeLevel) -> Leve
                     entries[key] = entries.get(key, zero) + wa * row[y]
 
     return LevelOperator(
-        entries={k: v for k, v in entries.items() if v != 0},
+        entries=MappingProxyType({k: v for k, v in entries.items() if v != 0}),
         b=tuple(b),
         lattice=lat,
     )

@@ -2,7 +2,7 @@
 
 T sends Q to the trace on the level-1 boundary of the assembled Q_<1>;
 R is its degree-N polynomial lift acting on the balanced Grassmann algebra,
-compiled once per context into a sparse tensor on coefficient vectors.
+compiled once per context into a sparse tensor on coefficient rows.
 The two are tied by R^n(exp_q(Q)) = C_n det((Q_<n>)|interior) exp_q(T^n Q);
 the Green function of R is estimated by a normalized iteration, batched over
 the spectral parameter, and the Dirichlet/Neumann characteristic polynomials
@@ -90,7 +90,7 @@ class RenormContext:
 @dataclass(frozen=True)
 class RTensor:
     """R as a sparse homogeneous polynomial of degree N on the coefficient
-    vector x of the base-cell algebra (coordinates ordered as ``basis``):
+    row x of the base-cell algebra (coordinates of grassmann.basis(N0)):
 
         R(x)[out_t] += coef_t * x[idx_t0] * x[idx_t1] * ... * x[idx_t(N-1)]
 
@@ -98,9 +98,6 @@ class RTensor:
     of each nonzero output coordinate and ``outputs`` that coordinate.
     """
 
-    n: int  # generators of the base-cell algebra
-    basis: tuple[tuple[int, int], ...]  # (I, J) masks of the basis monomials
-    index: dict  # (I, J) -> coordinate
     idx: np.ndarray  # (terms, N) coordinate of each factor
     coef: np.ndarray  # (terms,) exact when the energy weights are
     coef_float: np.ndarray
@@ -108,27 +105,11 @@ class RTensor:
     outputs: np.ndarray
     exact: bool
 
-    def vectors(self, elements) -> np.ndarray:
-        """Coefficient vectors as rows: object dtype when every coefficient
-        and the tensor are exact, else float or complex."""
-        values = [v for X in elements for v in X.coeffs.values()]
-        if self.exact and is_exact(values):
-            dtype = object
-        else:
-            dtype = complex if any(isinstance(v, complex) for v in values) else float
-        x = np.zeros((len(elements), len(self.basis)), dtype=dtype)
-        for row, X in zip(x, elements):
-            for key, v in X.coeffs.items():
-                row[self.index[key]] = v
-        return x
-
-    def element(self, row: np.ndarray) -> GrassmannElement:
-        return GrassmannElement(
-            self.n, {self.basis[d]: v for d, v in enumerate(row.tolist()) if v != 0}
-        )
-
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """R on every row of the (B, D) array x."""
+        """R on every row of the (B, D) array x; exact rows stay exact only
+        when the tensor is."""
+        if x.dtype == object and not self.exact:
+            x = x.astype(float)
         coef = self.coef if x.dtype == object else self.coef_float
         prod = coef * x[:, self.idx[:, 0]]
         for col in self.idx.T[1:]:
@@ -155,9 +136,7 @@ def compile_r(ctx: RenormContext) -> RTensor:
     to the boundary algebra, which leaves one monomial.
     """
     n0, N, V1 = ctx.spec.N0, ctx.spec.N, ctx.level1.num_vertices
-    masks = [[m for m in range(1 << n0) if m.bit_count() == k] for k in range(n0 + 1)]
-    basis = tuple((I, J) for ms in masks for I in ms for J in ms)
-    index = {key: d for d, key in enumerate(basis)}
+    basis, index = gr.basis(n0), gr.basis_index(n0)
     lifts = [
         [
             (d, *_single(gr.relabel(GrassmannElement(n0, {(I, J): s ** I.bit_count()}), images, V1)))
@@ -205,7 +184,7 @@ def compile_r(ctx: RenormContext) -> RTensor:
     )
     for a in arrays.values():
         a.setflags(write=False)
-    return RTensor(n=n0, basis=basis, index=index, exact=is_exact(ctx.energy_scalings), **arrays)
+    return RTensor(exact=is_exact(ctx.energy_scalings), **arrays)
 
 
 def symmetric_commutant_basis(spec: StructureSpec) -> tuple[np.ndarray, ...]:
@@ -283,20 +262,14 @@ def level_matrix(ctx: RenormContext, Q: np.ndarray, lat: LatticeLevel | None = N
     return out
 
 
-def t_map(ctx: RenormContext, Q: np.ndarray, strict: bool = False) -> np.ndarray:
+def t_map(ctx: RenormContext, Q: np.ndarray) -> np.ndarray:
     """One decimation step: trace of Q_<1> on the level-1 boundary."""
     Q = np.asarray(Q)
     if Q.shape != (ctx.spec.N0, ctx.spec.N0):
         raise ValueError("Q must act on the base cell")
-    if strict and not is_g_invariant(ctx.spec, Q, tol=0.0):
-        raise ValueError("Q is not invariant under the symmetry group")
-    Q1 = level_matrix(ctx, Q)
-    tr = trace_on_subset(Q1, ctx.boundary_sorted)
-    n0 = ctx.spec.N0
+    tr = trace_on_subset(level_matrix(ctx, Q), ctx.boundary_sorted)
     out = np.empty_like(tr)
-    for p in range(n0):
-        for q in range(n0):
-            out[ctx.boundary_labels[p], ctx.boundary_labels[q]] = tr[p, q]
+    out[np.ix_(ctx.boundary_labels, ctx.boundary_labels)] = tr
     return out
 
 
@@ -314,7 +287,7 @@ def r_map(ctx: RenormContext, X: GrassmannElement) -> GrassmannElement:
     and restrict to the boundary algebra, by the compiled tensor ctx.r."""
     if X.n != ctx.spec.N0:
         raise ValueError("X must live on the base-cell algebra")
-    return ctx.r.element(ctx.r.apply(ctx.r.vectors([X]))[0])
+    return GrassmannElement.from_row(X.n, ctx.r.apply(gr.rows([X]))[0])
 
 
 def r_iterate(ctx: RenormContext, X: GrassmannElement, n: int) -> GrassmannElement:
@@ -323,19 +296,22 @@ def r_iterate(ctx: RenormContext, X: GrassmannElement, n: int) -> GrassmannEleme
     return X
 
 
+def phi_rows(base: BaseOperator, lams) -> np.ndarray:
+    """Coefficient rows of phi(lambda) for every lambda of lams: exp_q of the
+    stack of A - lambda diag(b), exact when base and every lambda are."""
+    exact = base.exact and all(isinstance(lam, (int, Fraction)) for lam in lams)
+    dtype = object if exact else complex
+    A = np.asarray(base.matrix(), dtype=dtype)
+    b = np.diag(np.asarray(base.b, dtype=dtype))
+    n = base.size
+    # the reshape keeps the (B, n, n) stack shape when lams is empty
+    Q = np.array([A - lam * b for lam in lams], dtype=dtype).reshape(len(lams), n, n)
+    return gr.exp_q_rows(Q)
+
+
 def phi(base: BaseOperator, lam) -> GrassmannElement:
     """exp of the quadratic form of A - lambda diag(b)."""
-    A = base.matrix()
-    n = base.size
-    exact = base.exact and isinstance(lam, (int, Fraction))
-    if exact:
-        Q = np.empty((n, n), dtype=object)
-        for x in range(n):
-            for y in range(n):
-                Q[x, y] = Fraction(A[x, y]) - (Fraction(lam) * base.b[x] if x == y else 0)
-    else:
-        Q = np.asarray(A, dtype=complex) - lam * np.diag(np.asarray(base.b, dtype=complex))
-    return gr.exp_q(Q)
+    return GrassmannElement.from_row(base.size, phi_rows(base, [lam])[0])
 
 
 # -- Green function estimation ---------------------------------------------------
@@ -354,8 +330,8 @@ class GreenEstimate:
 
 
 def green_batch(ctx: RenormContext, x: np.ndarray, n_max: int = 40) -> list[GreenEstimate]:
-    """lim N^{-n} ln ||R^n x_b|| for every row x_b of the (B, D) array x of
-    coefficient vectors (coordinates as in ctx.r), iterated together.
+    """lim N^{-n} ln ||R^n x_b|| for every coefficient row x_b of the (B, D)
+    array x (see grassmann.rows), iterated together.
 
     Telescoping is exact by degree-N homogeneity: with x_{k+1} = R(x_k)/||R(x_k)||
     and g_k = ln ||R(x_k)||, the estimate is ln||X|| + sum g_k / N^{k+1} and the
@@ -408,16 +384,17 @@ def green_estimate(ctx: RenormContext, X: GrassmannElement, n_max: int = 40) -> 
     """green_batch for a single element X."""
     if X.n != ctx.spec.N0:
         raise ValueError("X must live on the base-cell algebra")
-    return green_batch(ctx, ctx.r.vectors([X]), n_max)[0]
+    return green_batch(ctx, gr.rows([X]), n_max)[0]
 
 
 def green_of_phi(ctx: RenormContext, base: BaseOperator, lam: complex, n_max: int = 20) -> GreenEstimate:
-    return green_estimate(ctx, phi(base, lam), n_max=n_max)
+    """green_of_phi_batch for a single lambda."""
+    return green_of_phi_batch(ctx, base, [lam], n_max)[0]
 
 
 def green_of_phi_batch(ctx: RenormContext, base: BaseOperator, lams, n_max: int = 20) -> list[GreenEstimate]:
     """green_of_phi at every lambda of ``lams``, in one batched iteration."""
-    return green_batch(ctx, ctx.r.vectors([phi(base, lam) for lam in lams]), n_max)
+    return green_batch(ctx, phi_rows(base, lams), n_max)
 
 
 def harmonicity_residual(
@@ -439,14 +416,14 @@ def harmonicity_residual(
 
 
 def _exact_r_samples(ctx: RenormContext, base: BaseOperator, n: int, deg: int, shift=0):
-    """Integer nodes 0..deg and R^n(phi(node - shift)) at each, exactly."""
+    """Integer nodes 0..deg and the rows of R^n(phi(node - shift)), exactly."""
     if not base.exact or not is_exact(ctx.spec.alpha):
         raise ValueError("exact polynomials need exact rational inputs")
     nodes = [Fraction(t) for t in range(deg + 1)]
-    x = ctx.r.vectors([phi(base, t - shift) for t in nodes])
+    x = phi_rows(base, [t - shift for t in nodes])
     for _ in range(n):
         x = ctx.r.apply(x)
-    return nodes, [ctx.r.element(row) for row in x]
+    return nodes, x
 
 
 def dirichlet_poly(ctx: RenormContext, base: BaseOperator, n: int) -> list[Fraction]:
@@ -456,16 +433,17 @@ def dirichlet_poly(ctx: RenormContext, base: BaseOperator, n: int) -> list[Fract
     Dirichlet problem at level n (the negatives of the reported spectrum),
     each with its multiplicity.
     """
-    nodes, samples = _exact_r_samples(ctx, base, n, ctx.vertex_count(n) - ctx.spec.N0)
-    return gr._newton_coeffs(nodes, [s.unit_coefficient for s in samples])
+    nodes, x = _exact_r_samples(ctx, base, n, ctx.vertex_count(n) - ctx.spec.N0)
+    return gr._newton_coeffs(nodes, list(x[:, 0]))
 
 
 def neumann_poly(ctx: RenormContext, base: BaseOperator, n: int) -> list[Fraction]:
     """Coefficients of lambda -> <R^n(phi(lambda)), prod etabar eta>; roots are
-    the Neumann pencil eigenvalues at level n."""
-    nodes, samples = _exact_r_samples(ctx, base, n, ctx.vertex_count(n))
-    top = gr.generator_pair_product(ctx.spec.N0, range(ctx.spec.N0))
-    return gr._newton_coeffs(nodes, [gr.scalar_product(s, top) for s in samples])
+    the Neumann pencil eigenvalues at level n.  prod etabar eta is the top
+    monomial (the last coordinate) up to the interleaving sign."""
+    nodes, x = _exact_r_samples(ctx, base, n, ctx.vertex_count(n))
+    sign = gr._interleave_sign(ctx.spec.N0)
+    return gr._newton_coeffs(nodes, [sign * v for v in x[:, -1]])
 
 
 # -- order of vanishing / N-D multiplicities ---------------------------------------
@@ -488,8 +466,7 @@ def rho_n_vanishing_order(ctx: RenormContext, base: BaseOperator, lam0, n: int) 
     """
     if not isinstance(lam0, (int, Fraction)):
         raise ValueError("exact path needs rational lam0")
-    nodes, samples = _exact_r_samples(ctx, base, n, ctx.vertex_count(n), Fraction(lam0))
-    return gr.vanishing_order(nodes, samples)
+    return gr.vanishing_order(*_exact_r_samples(ctx, base, n, ctx.vertex_count(n), Fraction(lam0)))
 
 
 def mu_nd_estimate(ctx: RenormContext, base: BaseOperator, n: int, **kw) -> AtomicMeasure:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 
@@ -395,7 +396,7 @@ def build_level(spec: StructureSpec, n: int) -> LatticeLevel:
         spec=spec,
         n=n,
         num_vertices=len(ordered),
-        word_to_id=word_to_id,
+        word_to_id=MappingProxyType(word_to_id),
         id_to_word=tuple(ordered),
         boundary=boundary,
     )

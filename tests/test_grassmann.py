@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import sympy
 
 from fraclat.grassmann import (
     GrassmannElement,
+    _bits,
+    _interleave_sign,
+    _newton_coeffs,
+    basis,
+    basis_index,
     exp_q,
+    exp_q_rows,
     generator_pair_product,
     gr_mul,
     interior_product,
@@ -15,6 +22,7 @@ from fraclat.grassmann import (
     norm,
     relabel,
     restrict,
+    rows,
     scalar_product,
 )
 from fraclat.schur import trace_on_subset
@@ -234,3 +242,69 @@ def test_kernel_vector_not_vanishing_on_subset_does_not_count():
     rng = np.random.default_rng(11)
     Q = designed_kernel_matrix(rng, 4, [(1, 1, 1, 1)])
     assert nd_order(Q, np.diag([Fraction(1)] * 4), [0]) == 0
+
+
+# -- coefficient rows --------------------------------------------------------------
+
+
+def test_basis_order_and_index():
+    for n in range(5):
+        keys = basis(n)
+        assert sorted(keys, key=lambda k: (bin(k[0]).count("1"), k)) == list(keys)
+        assert set(keys) == set(balanced_keys(n))
+        assert keys[0] == (0, 0) and keys[-1] == ((1 << n) - 1,) * 2
+        assert all(basis_index(n)[key] == d for d, key in enumerate(keys))
+    with pytest.raises(TypeError):
+        basis_index(2)[(0, 0)] = 1
+
+
+def test_rows_round_trip_and_dtype():
+    rng = np.random.default_rng(3)
+    exact = [rand_rational_elem(3, rng) for _ in range(4)]
+    x = rows(exact)
+    assert x.dtype == object and x.shape == (4, len(basis(3)))
+    assert [GrassmannElement.from_row(3, r).coeffs for r in x] == [X.coeffs for X in exact]
+    floats = [X.map_coeffs(float) for X in exact]
+    assert rows(floats).dtype == float
+    assert rows(floats[:1] + [exact[1].map_coeffs(complex)]).dtype == complex
+    with pytest.raises(ValueError):
+        rows([GrassmannElement.unit(2), GrassmannElement.unit(3)])
+
+
+def test_exp_q_rows_matches_per_matrix_minors_bitwise():
+    # the batched kernel against the per-point, per-minor determinants it replaces
+    rng = np.random.default_rng(4)
+    for complex_ in (False, True):
+        Q = np.stack([rand_sym(rng, 3, complex_) for _ in range(7)])
+        x = exp_q_rows(Q)
+        assert x.dtype == (complex if complex_ else float)
+        for Qb, row in zip(Q, x):
+            want = [1.0] + [
+                _interleave_sign(len(_bits(I))) * np.linalg.det(Qb[np.ix_(_bits(I), _bits(J))])
+                for I, J in basis(3)[1:]
+            ]
+            assert row.tolist() == want
+            assert GrassmannElement.from_row(3, row) == exp_q(Qb)
+
+
+def test_exp_q_rows_exact_stack():
+    Q = np.array([[[Fraction(1, 2), 3], [3, Fraction(-2, 5)]], [[0, 1], [1, 0]]], dtype=object)
+    x = exp_q_rows(Q)
+    assert x.dtype == object
+    assert [GrassmannElement.from_row(2, r) for r in x] == [exp_q(M) for M in Q]
+    assert x[0, -1] == -(Fraction(1, 2) * Fraction(-2, 5) - 9)
+
+
+def test_newton_coeffs_against_sympy_interpolation():
+    # independent route: sympy's Lagrange interpolating polynomial
+    rng = np.random.default_rng(5)
+    t = sympy.Symbol("t")
+    for k in (1, 2, 5, 9):
+        xs = sorted({Fraction(int(rng.integers(-40, 40)), int(rng.integers(1, 7))) for _ in range(3 * k)})[:k]
+        ys = [Fraction(int(rng.integers(-50, 50)), int(rng.integers(1, 9))) for _ in xs]
+        pts = [(sympy.Rational(a.numerator, a.denominator), sympy.Rational(b.numerator, b.denominator))
+               for a, b in zip(xs, ys)]
+        poly = sympy.Poly(sympy.interpolating_poly(k, t, *zip(*pts)), t)
+        want = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+        want += [Fraction(0)] * (k - len(want))
+        assert _newton_coeffs(xs, ys) == want

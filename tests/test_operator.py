@@ -30,6 +30,19 @@ def test_cached_arrays_are_read_only(gasket_base, gasket):
     assert np.array_equal(spectrum(op, "neumann").eigenvalues, before)
 
 
+def test_shared_mappings_are_read_only(gasket_base, gasket):
+    # a write to either mapping would silently change every later solve
+    # (entries, read by the first matrix_float) or vertex lookup (word_to_id)
+    lat = build_level(gasket, 2)
+    op = assemble(gasket_base, gasket, lat)
+    with pytest.raises(TypeError):
+        op.entries[(0, 0)] = 99
+    with pytest.raises(TypeError):
+        lat.word_to_id[(0, 0, 0)] = 5
+    assert op.matrix_float()[0, 0] == 2
+    assert lat.vertex((0, 0, 0)) == 0
+
+
 def test_level_zero_is_base(gasket, gasket_base, gasket_levels):
     op = gasket_levels.op(0)
     assert np.array_equal(op.matrix_float(), np.asarray(gasket_base.matrix(), dtype=float))

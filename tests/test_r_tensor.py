@@ -21,7 +21,9 @@ from fraclat.renorm import (
     green_of_phi_batch,
     neumann_poly,
     phi,
+    phi_rows,
     r_map,
+    rho_n_vanishing_order,
 )
 from fraclat.structure import builtin_interval
 from test_weighted_and_permuted import STRUCTURES
@@ -83,7 +85,7 @@ def test_r_map_float_matches_reference(ctx):
     rng = np.random.default_rng(20)
     for _ in range(4):
         X = GrassmannElement(ctx.spec.N0, {
-            key: complex(*rng.standard_normal(2)) for key in ctx.r.basis
+            key: complex(*rng.standard_normal(2)) for key in gr.basis(ctx.spec.N0)
         })
         got, want = r_map(ctx, X), r_map_reference(ctx, X)
         scale = max(abs(v) for v in want.coeffs.values())
@@ -95,7 +97,7 @@ def test_r_map_exact_matches_reference(ctx):
     for _ in range(4):
         X = GrassmannElement(ctx.spec.N0, {
             key: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
-            for key in ctx.r.basis
+            for key in gr.basis(ctx.spec.N0)
         })
         assert r_map(ctx, X).coeffs == r_map_reference(ctx, X).coeffs
 
@@ -127,7 +129,7 @@ def test_green_batch_matches_per_point():
     base = laplacian_base(spec)
     elements = [phi(base, lam) for lam in (-1.2 + 0.4j, 0.5 + 0.7j, -3.0 + 0.2j)]
     elements.insert(1, gr.exp_q(np.array([[1.0, 0.0], [0.0, -1.0]])))
-    estimates = green_batch(ctx, ctx.r.vectors(elements), 15)
+    estimates = green_batch(ctx, gr.rows(elements), 15)
     assert [e.hit_zero for e in estimates] == [False, True, False, False]
     for X, est in zip(elements, estimates):
         assert_green_equal(est, green_reference(ctx, X, 15))
@@ -138,3 +140,25 @@ def test_green_of_phi_batch_matches_per_point(gasket_ctx, gasket_base):
     lams = [complex(re, im) for re in (-5.0, -2.5, 0.5) for im in (0.3, 0.9)]
     for lam, est in zip(lams, green_of_phi_batch(gasket_ctx, gasket_base, lams, 12)):
         assert_green_equal(est, green_reference(gasket_ctx, phi(gasket_base, lam), 12))
+
+
+def test_phi_grid_takes_one_det_per_minor(gasket_base, monkeypatch):
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
+    lams = [complex(re, im) for re in np.linspace(-6, 1, 25) for im in (0.25, 0.5, 0.75, 1.0)]
+    x = phi_rows(gasket_base, lams)
+    assert len(calls) == len(gr.basis(3)) - 1 == 19
+    assert all(shape[0] == 100 for shape in calls)
+    assert [GrassmannElement.from_row(3, r) for r in x[::33]] == [phi(gasket_base, lam) for lam in lams[::33]]
+
+
+def test_batches_make_one_stacked_exp_q_call(gasket_ctx, gasket_base, monkeypatch):
+    calls = []
+    exp_q_rows = gr.exp_q_rows
+    monkeypatch.setattr(gr, "exp_q_rows", lambda Q: calls.append(len(Q)) or exp_q_rows(Q))
+    green_of_phi_batch(gasket_ctx, gasket_base, [complex(-1, 0.5), complex(-2, 0.5)], 5)
+    dirichlet_poly(gasket_ctx, gasket_base, 1)
+    neumann_poly(gasket_ctx, gasket_base, 1)
+    rho_n_vanishing_order(gasket_ctx, gasket_base, Fraction(-3), 1)
+    assert calls == [2, 4, 7, 7]
