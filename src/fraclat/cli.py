@@ -51,7 +51,7 @@ def _fmt(x) -> str:
         return FLOAT_FMT % float(x)
     if isinstance(x, (int,)):
         return str(x)
-    return FLOAT_FMT % x
+    return FLOAT_FMT % (x + 0.0)  # -0.0 + 0.0 == +0.0: write "0", never "-0"
 
 
 def _config_hash(payload: dict) -> str:

@@ -184,13 +184,22 @@ def assemble(base: BaseOperator, spec: StructureSpec, lat: LatticeLevel) -> Leve
     )
 
 
-def h_matrices(op: LevelOperator):
-    """Generalized pencils for the Neumann and Dirichlet problems.
-
-    Returns ((A_n, b_n), (A_n restricted, b_n restricted)); eigenvalues of
-    the difference operators are the negatives of the pencil eigenvalues.
+def pencil(op: LevelOperator, boundary_condition: str = "neumann"):
+    """The generalized pencil (A, b) of the Neumann problem (every vertex)
+    or of the Dirichlet problem (interior vertices only).  A is a fresh
+    array that the caller may overwrite.  Eigenvalues of the difference
+    operator are the negatives of the pencil eigenvalues.
     """
     A = op.matrix_float()
     b = op.b_float()
-    idx = np.array(op.interior, dtype=int)
-    return (A, b), (A[np.ix_(idx, idx)], b[idx])
+    if boundary_condition == "neumann":
+        return A.copy(), b
+    if boundary_condition == "dirichlet":
+        idx = np.array(op.interior, dtype=int)
+        return A[np.ix_(idx, idx)], b[idx]
+    raise ValueError(f"unknown boundary condition {boundary_condition!r}")
+
+
+def h_matrices(op: LevelOperator):
+    """((A_n, b_n), (A_n, b_n) restricted to the interior): both pencils."""
+    return pencil(op, "neumann"), pencil(op, "dirichlet")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import LevelOperator, h_matrices
+from .operator import LevelOperator, pencil
 
 DEFAULT_MERGE_TOL = 1e-7
 DEFAULT_NULLITY_TOL = 1e-8
@@ -123,12 +123,13 @@ def dominates(m1: AtomicMeasure, m2: AtomicMeasure, tol: float = 1e-9) -> bool:
 class EigenDecomposition:
     """Full spectrum of a (A, diag(b)) pencil, in operator convention.
 
-    ``eigenvalues`` are <= 0 and descending; ``eigenvectors[:, k]`` is
+    ``eigenvalues`` are <= 0 and descending.  ``eigenvectors`` is None
+    unless the solve asked for vectors; then ``eigenvectors[:, k]`` is
     b-orthonormal and solves A v = -eigenvalue_k * b v.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     b: np.ndarray
 
     @property
@@ -136,41 +137,94 @@ class EigenDecomposition:
         return len(self.eigenvalues)
 
     def residual(self, A: np.ndarray) -> float:
+        if self.eigenvectors is None:
+            raise ValueError(
+                "residual needs eigenvectors: solve with spectrum(op, bc, vectors=True)"
+            )
         R = A @ self.eigenvectors + (self.b[:, None] * self.eigenvectors) * (
             self.eigenvalues[None, :]
         )
         return float(np.max(np.abs(R))) if R.size else 0.0
 
 
-def _pencil_eigh(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized solve of A v = w b v; returns (w ascending, b-orthonormal V)."""
+def _pencil_eigh(M: np.ndarray, b: np.ndarray, vectors: bool):
+    """Solve M v = w b v; returns (w ascending, b-orthonormal V or None).
+
+    M is overwritten by its symmetric scaling diag(b)^-1/2 M diag(b)^-1/2.
+    Both LAPACK drivers read one triangle only, so M is not symmetrised.
+    Without vectors the tridiagonal reduction skips the back-transformation.
+    """
     if len(b) == 0:
-        return np.zeros(0), np.zeros((0, 0))
+        return np.zeros(0), np.zeros((0, 0)) if vectors else None
     s = 1.0 / np.sqrt(b)
-    M = (A * s[None, :]) * s[:, None]
-    M = 0.5 * (M + M.T)
+    M *= s[None, :]
+    M *= s[:, None]
+    if not vectors:
+        return np.linalg.eigvalsh(M), None
     w, U = np.linalg.eigh(M)
-    return w, U * s[:, None]
+    U *= s[:, None]
+    return w, U
 
 
-def spectrum(op: LevelOperator, boundary_condition: str = "neumann") -> EigenDecomposition:
-    """Dense spectrum of H^+ (neumann) or H^- (dirichlet)."""
-    if op.size > DENSE_CEILING:
+# Peak float64 V x V arrays of one dense solve, counting the operator's
+# cached A_n: the pencil copy and LAPACK's working copy without vectors;
+# with vectors also the divide-and-conquer workspace (2 V^2) and the
+# eigenvector output.  Measured as the peak-RSS rise of spectrum() at
+# V = 3282: 3.00 and 6.00.
+SOLVE_ARRAYS = {False: 3, True: 6}
+
+
+def _mem_available() -> int | None:
+    """MemAvailable of /proc/meminfo in bytes; None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_dense_size(size: int, vectors: bool) -> None:
+    if size > DENSE_CEILING:
         raise SizeCeilingError(
-            f"problem size {op.size} exceeds dense ceiling {DENSE_CEILING}"
+            f"problem size {size} exceeds dense ceiling {DENSE_CEILING}"
         )
-    (An, bn), (Ad, bd) = h_matrices(op)
-    if boundary_condition == "neumann":
-        A, b = An, bn
-    elif boundary_condition == "dirichlet":
-        A, b = Ad, bd
-    else:
-        raise ValueError(f"unknown boundary condition {boundary_condition!r}")
-    w, V = _pencil_eigh(A, b)
-    return EigenDecomposition(eigenvalues=-w, eigenvectors=V, b=b)
+    need = SOLVE_ARRAYS[vectors] * 8 * size * size
+    avail = _mem_available()
+    if avail is not None and need > avail:
+        raise SizeCeilingError(
+            f"dense solve at size {size} needs about {need / 2**30:.2f} GiB, "
+            f"{avail / 2**30:.2f} GiB available"
+        )
+
+
+def spectrum(
+    op: LevelOperator, boundary_condition: str = "neumann", vectors: bool = False
+) -> EigenDecomposition:
+    """Dense spectrum of H^+ (neumann) or H^- (dirichlet); eigenvectors
+    only with ``vectors=True``.
+
+    Eigenvalues are clipped to <= 0: the Neumann zero mode may round to
+    either sign, and a positive value would drop it from the repartition
+    function on [lam, 0].
+    """
+    _check_dense_size(op.size, vectors)
+    M, b = pencil(op, boundary_condition)
+    w, V = _pencil_eigh(M, b, vectors)
+    return EigenDecomposition(eigenvalues=np.minimum(-w, 0.0) + 0.0, eigenvectors=V, b=b)
 
 
 # -- Neumann-Dirichlet detection ----------------------------------------------
+
+
+def _stacked_system(op: LevelOperator, lam: float) -> np.ndarray:
+    """(A + lam diag(b))[:, interior], built without a V x V temporary."""
+    idx = np.array(op.interior, dtype=int)
+    S = op.matrix_float()[:, idx]
+    S[idx, np.arange(len(idx))] += lam * op.b_float()[idx]
+    return S
 
 
 def nd_nullity(op: LevelOperator, lam: float, tol: float = DEFAULT_NULLITY_TOL) -> int:
@@ -179,12 +233,9 @@ def nd_nullity(op: LevelOperator, lam: float, tol: float = DEFAULT_NULLITY_TOL) 
     The stacked system restricts (A + lam diag(b)) to interior columns,
     which is the matrix form of appending boundary-indicator rows.
     """
-    A = op.matrix_float()
-    b = op.b_float()
-    idx = np.array(op.interior, dtype=int)
-    if len(idx) == 0:
+    if not op.interior:
         return 0
-    S = (A + lam * np.diag(b))[:, idx]
+    S = _stacked_system(op, lam)
     sv = np.linalg.svd(S, compute_uv=False)
     smax = sv[0] if sv[0] > 0 else 1.0
     return int(np.sum(sv < tol * smax))
@@ -203,8 +254,12 @@ def nd_spectrum(
     stacked-system nullity, evaluated on the cluster's eigenbasis: with V
     the b-orthonormal Dirichlet eigenvectors of the cluster, f = 0-extension
     of V c solves the stacked system iff A[boundary, interior] V c = 0.
+    A ``dirichlet`` decomposition without eigenvectors is solved again
+    with them.
     """
-    eig = dirichlet if dirichlet is not None else spectrum(op, "dirichlet")
+    eig = dirichlet
+    if eig is None or eig.eigenvectors is None:
+        eig = spectrum(op, "dirichlet", vectors=True)
     if eig.size == 0:
         return AtomicMeasure((), merge_tol)
     A = op.matrix_float()

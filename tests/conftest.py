@@ -60,7 +60,7 @@ class LevelCache:
 
     def dirichlet(self, n):
         if n not in self._dirichlet:
-            self._dirichlet[n] = spectrum(self.op(n), "dirichlet")
+            self._dirichlet[n] = spectrum(self.op(n), "dirichlet", vectors=True)
         return self._dirichlet[n]
 
     def nd(self, n):

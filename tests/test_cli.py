@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fraclat.cli import EXIT_BAD_CONFIG, EXIT_CEILING, EXIT_OK, EXIT_VALIDATION, run
@@ -217,3 +218,86 @@ def test_degrees_refuses_no_steps(tmp_path, builtin, n):
     assert run(["degrees", "--builtin", builtin, "--n", n, "--out", str(out)]) == EXIT_BAD_CONFIG
     assert not out.exists()
     assert not list(tmp_path.rglob("*_degrees.csv"))
+
+
+@pytest.mark.parametrize("builtin,level,base", [
+    ("interval:2/5", 8, {"a": [[1, 2, "3/2"]], "b": ["2", "5/3"]}),
+    ("interval:1/2", 3, None),
+])
+def test_dos_keeps_the_neumann_zero_mode(tmp_path, builtin, level, base):
+    argv = ["dos", "--builtin", builtin, "--level", str(level), "--out", str(tmp_path)]
+    if base is not None:
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(base))
+        argv += ["--base", str(path)]
+    assert run(argv) == EXIT_OK
+    scale = 2**level
+    content = lines(tmp_path / f"interval_n{level}_dos_neumann.csv")
+    rows = [tuple(map(float, l.split(","))) for l in content[2:]]
+    # below the spectrum the CDF counts every vertex, the zero mode included;
+    # the grid ends on its jump at 0, where it reads 1/N^n or 0 by rounding
+    assert rows[0][1] == (scale + 1) / scale
+    assert rows[-1][0] == 0.0
+    assert rows[-2][1] >= 1 / scale
+    assert rows[-1][1] in (0.0, 1 / scale)
+    assert not any(l.startswith("-0,") for l in content)
+
+
+def test_fmt_writes_zero_unsigned():
+    from fraclat.cli import _fmt
+
+    assert _fmt(-0.0) == _fmt(0.0) == "0"
+    assert _fmt(-1.5) == "-1.5" and _fmt(3) == "3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--builtin", "gasket", "--level", "3"],
+    ["dos", "--builtin", "interval:1/3", "--level", "4"],
+    ["decimation", "--n", "3"],
+])
+def test_eigenvalue_commands_compute_no_eigenvectors(tmp_path, monkeypatch, argv):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert run([*argv, "--out", str(tmp_path)]) == EXIT_OK
+
+
+def test_nd_solves_for_eigenvectors_once(tmp_path, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert run(["nd", "--builtin", "gasket", "--level", "3", "--out", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_memory_model_refuses_the_vectors_path_first(tmp_path, monkeypatch):
+    # gasket level 3 has V = 42: the values path models 3 V x V float64
+    # arrays, the vectors path 6; a budget between the two refuses nd only
+    from fraclat import spectral
+
+    V = 42
+    budget = 4 * 8 * V * V
+    assert spectral.SOLVE_ARRAYS[False] * 8 * V * V < budget < spectral.SOLVE_ARRAYS[True] * 8 * V * V
+    monkeypatch.setattr(spectral, "_mem_available", lambda: budget)
+    common = ["--builtin", "gasket", "--level", "3", "--out", str(tmp_path)]
+    assert run(["spectrum", *common]) == EXIT_OK
+    assert run(["dos", *common]) == EXIT_OK
+    assert run(["nd", *common]) == EXIT_CEILING
+    monkeypatch.setattr(spectral, "_mem_available", lambda: 2 * 8 * V * V)
+    assert run(["spectrum", *common]) == EXIT_CEILING
+
+
+def test_mem_available_reads_meminfo():
+    from fraclat import spectral
+
+    avail = spectral._mem_available()
+    if Path("/proc/meminfo").exists():
+        assert avail > 0
+    else:
+        assert avail is None

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclat.operator import assemble, laplacian_base
+from fraclat.operator import assemble, laplacian_base, pencil
 from fraclat.spectral import (
     AtomicMeasure,
+    _stacked_system,
     argument_principle_count,
     counting_measure,
     dominates,
@@ -18,6 +19,7 @@ from fraclat.spectral import (
     sup_cdf_distance,
 )
 from fraclat.structure import build_level, builtin_interval
+from test_weighted_and_permuted import STRUCTURES
 
 
 def test_gasket_level0_neumann(gasket_levels):
@@ -46,13 +48,49 @@ def test_eigen_residuals_and_counts(gasket_levels):
     for n in (1, 2, 3):
         op = gasket_levels.op(n)
         for bc, expect in (("neumann", op.size), ("dirichlet", op.size - 3)):
-            eig = spectrum(op, bc)
+            eig = spectrum(op, bc, vectors=True)
             assert eig.size == expect
             A = op.matrix_float() if bc == "neumann" else op.matrix_float()[
                 np.ix_(op.interior, op.interior)
             ]
             assert eig.residual(A) <= 1e-10 * max(1.0, np.abs(A).max())
             assert all(eig.eigenvalues <= 1e-9)
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_values_only_solve_matches_eigh(name):
+    # the eigvalsh route against the eigh route it replaced for spectrum()
+    spec = STRUCTURES[name]
+    base = laplacian_base(spec)
+    for n in range(5):
+        op = assemble(base, spec, build_level(spec, n))
+        for bc in ("neumann", "dirichlet"):
+            vals = spectrum(op, bc)
+            ref = spectrum(op, bc, vectors=True)
+            assert vals.eigenvectors is None
+            assert ref.eigenvectors.shape == (ref.size, ref.size)
+            A, _ = pencil(op, bc)
+            tol = 1e-12 * max(1.0, float(np.abs(A).max(initial=0.0)))
+            assert np.max(np.abs(vals.eigenvalues - ref.eigenvalues), initial=0.0) <= tol
+            assert np.all(vals.eigenvalues <= 0.0)
+            assert sup_cdf_distance(counting_measure(vals), counting_measure(ref)) == 0
+
+
+def test_zero_mode_reported_as_zero_not_positive():
+    # the Neumann zero mode may round to either sign; it is reported <= 0,
+    # and as +0.0 when clipped
+    spec = builtin_interval(Fraction(2, 7))
+    for n in range(8):
+        op = assemble(laplacian_base(spec), spec, build_level(spec, n))
+        w = spectrum(op, "neumann").eigenvalues
+        assert w[0] <= 0.0 and abs(w[0]) < 1e-12
+        assert not np.any(np.signbit(w[w == 0.0]))
+
+
+def test_residual_needs_vectors(gasket_levels):
+    eig = spectrum(gasket_levels.op(1), "neumann")
+    with pytest.raises(ValueError, match="vectors=True"):
+        eig.residual(gasket_levels.op(1).matrix_float())
 
 
 def test_counting_measure_basics():
@@ -138,6 +176,30 @@ def test_nd_nullity_matches_cluster_method(gasket_levels):
         op = gasket_levels.op(n)
         for loc, mult in gasket_levels.nd(n).atoms:
             assert nd_nullity(op, float(loc)) == mult
+
+
+@pytest.mark.parametrize("which", ["gasket", "interval:1/3"])
+def test_stacked_system_bitwise_equals_dense_form(which, gasket_levels, interval_third):
+    if which == "gasket":
+        op = gasket_levels.op(4)
+    else:
+        op = assemble(laplacian_base(interval_third), interval_third, build_level(interval_third, 4))
+    A, b = op.matrix_float(), op.b_float()
+    idx = np.array(op.interior, dtype=int)
+    lams = [float(loc) for loc, _ in nd_spectrum(op).atoms] + [-0.123456, -2.5, 0.0, 1.75]
+    for lam in lams:
+        assert np.array_equal(_stacked_system(op, lam), (A + lam * np.diag(b))[:, idx])
+
+
+def test_nd_spectrum_solves_again_for_vectorless_dirichlet(gasket_levels):
+    for n in (3, 4):
+        op = gasket_levels.op(n)
+        vectorless = spectrum(op, "dirichlet")
+        assert vectorless.eigenvectors is None
+        assert nd_spectrum(op, dirichlet=vectorless) == nd_spectrum(
+            op, dirichlet=spectrum(op, "dirichlet", vectors=True)
+        )
+        assert nd_spectrum(op, dirichlet=vectorless) == gasket_levels.nd(n)
 
 
 def test_nd_nullity_off_spectrum_zero(gasket_levels):
