@@ -415,7 +415,7 @@ def cmd_matrix(args) -> int:
         fh.write("%%MatrixMarket matrix array real general\n")
         fh.write(f"% b_n weights for {spec.name}, level {args.level}\n")
         fh.write(f"{op.size} 1\n")
-        for v in op.b:
+        for v in op.b_float().tolist():
             fh.write(_fmt(v) + "\n")
     print(f"wrote {path.name} and {bpath.name}")
     return EXIT_OK

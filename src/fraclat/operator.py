@@ -8,13 +8,15 @@ the inputs are exact; eigensolving densifies to float.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
-from .structure import LatticeLevel, StructureSpec, is_exact
+from .structure import LatticeLevel, StructureSpec, UnionFind, is_exact
 
 
 class DimensionError(ValueError):
@@ -56,41 +58,27 @@ class BaseOperator:
 
     def matrix(self):
         """Full matrix of A (exact entries preserved, object dtype if exact)."""
-        n = self.size
         zero = Fraction(0) if self.exact else 0.0
-        M = [[zero] * n for _ in range(n)]
-        for x in range(n):
-            diag = zero
-            for y in range(n):
-                if y == x:
-                    continue
-                M[x][y] = -self.a[x][y]
-                diag += self.a[x][y]
-            M[x][x] = diag
-        dtype = object if self.exact else float
-        return np.array(M, dtype=dtype)
+        M = -np.array(self.a, dtype=object if self.exact else float)
+        np.fill_diagonal(M, [sum((a for y, a in enumerate(row) if y != x), zero) for x, row in enumerate(self.a)])
+        return M
 
     def is_group_invariant(self, spec: StructureSpec) -> bool:
-        for g in spec.group:
-            for x in range(self.size):
-                if self.b[g[x]] != self.b[x]:
-                    return False
-                for y in range(self.size):
-                    if self.a[g[x]][g[y]] != self.a[x][y]:
-                        return False
-        return True
+        n = self.size
+        return all(
+            self.b[g[x]] == self.b[x] and all(self.a[g[x]][g[y]] == self.a[x][y] for y in range(n))
+            for g in spec.group
+            for x in range(n)
+        )
 
     def is_irreducible(self) -> bool:
         """Connectivity of the positive-coupling graph."""
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
+        uf = UnionFind()
+        for x in range(self.size):
             for y in range(self.size):
-                if y != x and y not in seen and self.a[x][y] > 0:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.size
+                if y != x and self.a[x][y] > 0:
+                    uf.union(x, y)
+        return len({uf.find(x) for x in range(self.size)}) == 1
 
 
 def laplacian_base(spec: StructureSpec) -> BaseOperator:
@@ -103,39 +91,108 @@ def laplacian_base(spec: StructureSpec) -> BaseOperator:
     return BaseOperator(a=a, b=(one,) * n0)
 
 
+def _over_lcm(values) -> tuple[np.ndarray, int]:
+    """Exact values as Python-int numerators over their least common denominator."""
+    den = math.lcm(*(Fraction(v).denominator for v in values))
+    return np.array([int(Fraction(v) * den) for v in values], dtype=object), den
+
+
+def cell_weights(num, den, n: int) -> tuple[np.ndarray, int | None]:
+    """prod_k num[j_k]/den[j_k] for every n-cell, in cell_ids row order: exact
+    inputs give Python-int numerators over Q^n (num[j]/den[j] = c_j/Q), others
+    floats (None for Q^n) multiplied factor by factor, coarsest letter first."""
+    if is_exact(tuple(num) + tuple(den)):
+        c, q = _over_lcm([Fraction(a) / b for a, b in zip(num, den)])
+        w = np.ones(1, dtype=object)
+        for _ in range(n):
+            w = (c[:, None] * w).ravel()
+        return w, q**n
+    num, den = (np.array([float(v) for v in t])[:, None] for t in (num, den))
+    w = np.ones(1)
+    for _ in range(n):
+        w = (w * num / den).ravel()
+    return w, None
+
+
+def cell_sums(lat: LatticeLevel, weights, M: np.ndarray, exact: bool = True):
+    """The one cell-assembly kernel: sum w_c M[x, y] at (ids_c[x], ids_c[y])
+    over every n-cell c (ids_c = lat.cell_ids[c]) and (x, y) with M[x, y] != 0,
+    by one scatter-add in (c, x, y) order.  Returns (keys, sums, den): sums at
+    sorted flat indices row * V + col, integer numerators over den when the
+    weights and M are exact (int64 if a bound on every partial sum and on den
+    is below 2**53, else Python ints; with ``exact`` false each product is
+    rounded once before a float sum), else floating point with den None."""
+    w, den = weights
+    x, y = np.nonzero(M != 0)
+    ids, V = lat.cell_ids, lat.num_vertices
+    keys, inv, count = np.unique(
+        (ids[:, x] * V + ids[:, y]).ravel(), return_inverse=True, return_counts=True
+    )
+    if den is not None and is_exact(M.flat):
+        m, mden = _over_lcm(M[x, y])
+        den *= mden
+        bound = int(w.max()) * max(map(abs, m), default=0) * int(count.max(initial=0))
+        dtype = np.int64 if bound < 2**53 and den < 2**53 else object
+        vals = (w.astype(dtype)[:, None] * m.astype(dtype)).ravel()
+        if not exact:
+            vals, den = (vals / den).astype(float), None
+    else:
+        w = w if den is None else (w / den).astype(float)
+        vals, den = (w[:, None] * (M[x, y] if M.dtype != object else M[x, y].astype(float))).ravel(), None
+    sums = np.zeros(len(keys), dtype=vals.dtype)
+    np.add.at(sums, inv, vals)
+    return keys, sums, den
+
+
+def sums_float(keys, sums, den) -> np.ndarray:
+    """Divided once: correctly rounded, as int64 below 2**53 and Python ints are."""
+    return sums if den is None else (sums / den).astype(float)
+
+
+def sums_exact(keys, sums, den) -> list:
+    return sums.tolist() if den is None else [Fraction(int(s), den) for s in sums]
+
+
 @dataclass(frozen=True)
 class LevelOperator:
-    """Assembled A_n (sparse symmetric coordinate entries, exact when the
-    inputs are exact, in a read-only mapping) and weights b_n; densified
-    lazily for eigensolves."""
+    """A_n and b_n of ``base`` on ``lattice`` as cell_sums results.  The
+    coordinate entries (exact when the inputs are, in a read-only mapping)
+    and the tuple b are built on first access; the dense float forms are
+    cached read-only for eigensolves."""
 
-    entries: MappingProxyType  # (row, col) -> value
-    b: tuple
+    base: BaseOperator
     lattice: LatticeLevel
+    a_sums: tuple = field(repr=False, compare=False)
+    b_sums: tuple = field(repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def level(self) -> int:
-        return self.lattice.n
+    @cached_property
+    def entries(self) -> MappingProxyType:
+        """(row, col) -> value of every nonzero entry, in row-major order."""
+        pairs = zip(self.a_sums[0].tolist(), sums_exact(*self.a_sums))
+        return MappingProxyType({divmod(k, self.size): v for k, v in pairs if v != 0})
+
+    @cached_property
+    def b(self) -> tuple:
+        return tuple(sums_exact(*self.b_sums))
 
     @property
     def boundary(self) -> tuple[int, ...]:
         return self.lattice.boundary
 
     @property
-    def interior(self) -> tuple[int, ...]:
+    def interior(self) -> np.ndarray:
         return self.lattice.interior
 
     @property
     def size(self) -> int:
-        return len(self.b)
+        return self.lattice.num_vertices
 
     def matrix_float(self) -> np.ndarray:
         """Dense A_n, cached and read-only (the operator is shared)."""
         if "A" not in self._cache:
             A = np.zeros((self.size, self.size))
-            for (i, j), v in self.entries.items():
-                A[i, j] = float(v)
+            A.flat[self.a_sums[0]] = sums_float(*self.a_sums)
             A.setflags(write=False)
             self._cache["A"] = A
         return self._cache["A"]
@@ -143,19 +200,23 @@ class LevelOperator:
     def b_float(self) -> np.ndarray:
         """b_n as floats, cached and read-only."""
         if "b" not in self._cache:
-            b = np.asarray(self.b, dtype=float)
+            b = sums_float(*self.b_sums)
             b.setflags(write=False)
             self._cache["b"] = b
         return self._cache["b"]
 
     def coordinate_entries(self):
-        """Upper-triangle nonzeros as (row, col, value) for matrix export."""
-        for (i, j) in sorted(k for k in self.entries if k[0] <= k[1]):
-            yield i, j, self.entries[(i, j)]
+        """Upper-triangle nonzeros as (row, col, float) for matrix export, row-major."""
+        i, j = np.divmod(self.a_sums[0], self.size)
+        keep = (i <= j) & (self.a_sums[1] != 0)
+        return zip(i[keep].tolist(), j[keep].tolist(), sums_float(*self.a_sums)[keep].tolist())
 
 
 def assemble(base: BaseOperator, spec: StructureSpec, lat: LatticeLevel) -> LevelOperator:
-    """Sum weighted copies of (A, b) over every n-cell of the lattice."""
+    """Sum weighted copies of (A, b) over every n-cell of the lattice: the
+    copy on cell j_1..j_n is scaled by prod_k alpha_1/alpha_{j_k} in energy
+    and by prod_k beta_{j_k}/beta_1 in measure (blow-up fixed to the
+    constant sequence 1); b_n is the diagonal of the cell sums of diag(b)."""
     if base.size != spec.N0:
         raise DimensionError(
             f"base operator has size {base.size}, structure needs {spec.N0}"
@@ -164,23 +225,11 @@ def assemble(base: BaseOperator, spec: StructureSpec, lat: LatticeLevel) -> Leve
         raise DimensionError("lattice was built from a different structure")
 
     exact = base.exact and is_exact(spec.alpha) and is_exact(spec.beta)
-    zero = Fraction(0) if exact else 0.0
-    entries: dict = {}
-    b = [zero] * lat.num_vertices
-    base_mat = base.matrix()
-    for ids, wa, wb in lat.cells():
-        for x in range(spec.N0):
-            b[ids[x]] += wb * base.b[x]
-            row = base_mat[x]
-            for y in range(spec.N0):
-                if row[y] != 0:
-                    key = (ids[x], ids[y])
-                    entries[key] = entries.get(key, zero) + wa * row[y]
-
+    b = np.diag(np.array(base.b, dtype=object if is_exact(base.b) else float))
+    energy = cell_weights((spec.alpha[0],) * spec.N, spec.alpha, lat.n)
+    measure = cell_weights(spec.beta, (spec.beta[0],) * spec.N, lat.n)
     return LevelOperator(
-        entries=MappingProxyType({k: v for k, v in entries.items() if v != 0}),
-        b=tuple(b),
-        lattice=lat,
+        base, lat, cell_sums(lat, energy, base.matrix(), exact), cell_sums(lat, measure, b, exact)
     )
 
 
@@ -195,7 +244,7 @@ def pencil(op: LevelOperator, boundary_condition: str = "neumann"):
     if boundary_condition == "neumann":
         return A.copy(), b
     if boundary_condition == "dirichlet":
-        idx = np.array(op.interior, dtype=int)
+        idx = op.interior
         return A[np.ix_(idx, idx)], b[idx]
     raise ValueError(f"unknown boundary condition {boundary_condition!r}")
 

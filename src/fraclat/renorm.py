@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 import numpy as np
 
 from . import grassmann as gr
 from .grassmann import GrassmannElement
-from .operator import BaseOperator, assemble
+from .operator import BaseOperator, assemble, cell_sums, cell_weights, sums_exact
 from .schur import trace_on_subset
 from .spectral import AtomicMeasure, nd_nullity, nd_spectrum
 from .structure import LatticeLevel, StructureSpec, build_level, is_exact
@@ -36,23 +36,17 @@ class RenormContext:
     boundary_sorted: tuple[int, ...]
     boundary_labels: tuple[int, ...]  # F-label of each sorted boundary id
     energy_scalings: tuple  # alpha_1/alpha_i per cell
-    symg_basis: tuple[np.ndarray, ...]
 
     @classmethod
     def build(cls, spec: StructureSpec) -> "RenormContext":
-        lat1 = build_level(spec, 1)
-        cells = list(lat1.cells())
-        bsorted = tuple(sorted(lat1.boundary))
-        blabels = tuple(lat1.boundary.index(v) for v in bsorted)
-        return cls(
-            spec=spec,
-            level1=lat1,
-            cell_images=tuple(ids for ids, _, _ in cells),
-            boundary_sorted=bsorted,
-            boundary_labels=blabels,
-            energy_scalings=tuple(wa for _, wa, _ in cells),
-            symg_basis=symmetric_commutant_basis(spec),
-        )
+        """The context of ``spec``, built once per spec and weight types
+        (equal weights of different types, 1 and 1.0, build different
+        contexts) and shared: a context is immutable."""
+        return _build_context(spec, tuple(map(type, spec.alpha + spec.beta)))
+
+    @cached_property
+    def symg_basis(self) -> tuple[np.ndarray, ...]:
+        return symmetric_commutant_basis(self.spec)
 
     @cached_property
     def r(self) -> "RTensor":
@@ -85,6 +79,21 @@ class RenormContext:
         for j in range(n):
             e += (self.vertex_count(j) - spec.N0) * spec.N ** (n - 1 - j)
         return p**e
+
+
+@lru_cache(maxsize=16)
+def _build_context(spec: StructureSpec, weight_types: tuple) -> RenormContext:
+    lat1 = build_level(spec, 1)
+    w, den = cell_weights((spec.alpha[0],) * spec.N, spec.alpha, 1)
+    bsorted = tuple(sorted(lat1.boundary))
+    return RenormContext(
+        spec=spec,
+        level1=lat1,
+        cell_images=tuple(map(tuple, lat1.cell_ids.tolist())),
+        boundary_sorted=bsorted,
+        boundary_labels=tuple(lat1.boundary.index(v) for v in bsorted),
+        energy_scalings=tuple(w.tolist()) if den is None else tuple(Fraction(c, den) for c in w),
+    )
 
 
 @dataclass(frozen=True)
@@ -188,7 +197,8 @@ def compile_r(ctx: RenormContext) -> RTensor:
 
 
 def symmetric_commutant_basis(spec: StructureSpec) -> tuple[np.ndarray, ...]:
-    """Exact basis of Sym^G: indicators of the group orbits of index pairs."""
+    """Exact basis of Sym^G: indicators of the group orbits of index pairs,
+    as read-only arrays."""
     n0 = spec.N0
     group = spec.group or ((tuple(range(spec.N))),)
     seen: set[frozenset] = set()
@@ -205,19 +215,14 @@ def symmetric_commutant_basis(spec: StructureSpec) -> tuple[np.ndarray, ...]:
             for (a, b) in orbit:
                 M[a, b] = Fraction(1)
                 M[b, a] = Fraction(1)
+            M.setflags(write=False)
             basis.append(M)
     return tuple(basis)
 
 
 def is_g_invariant(spec: StructureSpec, Q: np.ndarray, tol: float = 0.0) -> bool:
-    Qc = np.asarray(Q)
-    for g in spec.group:
-        for x in range(spec.N0):
-            for y in range(spec.N0):
-                d = Qc[g[x], g[y]] - Qc[x, y]
-                if abs(complex(d)) > tol:
-                    return False
-    return True
+    Qc, F = np.asarray(Q), range(spec.N0)
+    return not any(abs(complex(Qc[g[x], g[y]] - Qc[x, y])) > tol for g in spec.group for x in F for y in F)
 
 
 # -- gasket coordinates ---------------------------------------------------------
@@ -245,21 +250,17 @@ def gasket_coords(Q: np.ndarray) -> tuple:
 
 
 def level_matrix(ctx: RenormContext, Q: np.ndarray, lat: LatticeLevel | None = None) -> np.ndarray:
-    """Assemble Q_<n>: the weighted sum of copies of Q over all n-cells."""
+    """Assemble Q_<n>: the weighted sum of copies of Q over all n-cells,
+    exact (object Fractions) when Q and the energy weights are, else complex."""
     lat = ctx.level1 if lat is None else lat
     Q = np.asarray(Q)
-    V = lat.num_vertices
-    if Q.dtype == object and is_exact(ctx.spec.alpha):
-        out = np.full((V, V), Fraction(0), dtype=object)
-    else:
-        out = np.zeros((V, V), dtype=complex)
-    n0 = ctx.spec.N0
-    for ids, w, _ in lat.cells():
-        for x in range(n0):
-            for y in range(n0):
-                if Q[x, y] != 0:
-                    out[ids[x], ids[y]] += w * Q[x, y]
-    return out
+    spec, V = ctx.spec, lat.num_vertices
+    weights = cell_weights((spec.alpha[0],) * spec.N, spec.alpha, lat.n)
+    exact = Q.dtype == object and is_exact(Q.flat)
+    keys, sums, den = s = cell_sums(lat, weights, Q if exact else Q.astype(complex))
+    out = np.zeros(V * V, dtype=complex) if den is None else np.full(V * V, Fraction(0), dtype=object)
+    out[keys] = sums if den is None else sums_exact(*s)
+    return out.reshape(V, V)
 
 
 def t_map(ctx: RenormContext, Q: np.ndarray) -> np.ndarray:
@@ -520,12 +521,7 @@ class SiegelCheck:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.im_positive
-            and self.contraction_lower
-            and self.contraction_inverse
-            and self.distance_bound
-        )
+        return self.im_positive and self.contraction_lower and self.contraction_inverse and self.distance_bound
 
 
 def siegel_invariance_check(

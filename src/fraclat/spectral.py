@@ -221,7 +221,7 @@ def spectrum(
 
 def _stacked_system(op: LevelOperator, lam: float) -> np.ndarray:
     """(A + lam diag(b))[:, interior], built without a V x V temporary."""
-    idx = np.array(op.interior, dtype=int)
+    idx = op.interior
     S = op.matrix_float()[:, idx]
     S[idx, np.arange(len(idx))] += lam * op.b_float()[idx]
     return S
@@ -233,7 +233,7 @@ def nd_nullity(op: LevelOperator, lam: float, tol: float = DEFAULT_NULLITY_TOL) 
     The stacked system restricts (A + lam diag(b)) to interior columns,
     which is the matrix form of appending boundary-indicator rows.
     """
-    if not op.interior:
+    if not len(op.interior):
         return 0
     S = _stacked_system(op, lam)
     sv = np.linalg.svd(S, compute_uv=False)
@@ -263,7 +263,7 @@ def nd_spectrum(
     if eig.size == 0:
         return AtomicMeasure((), merge_tol)
     A = op.matrix_float()
-    idx = np.array(op.interior, dtype=int)
+    idx = op.interior
     bidx = np.array(op.boundary, dtype=int)
     flux = A[np.ix_(bidx, idx)]
     scale_ = max(float(np.max(np.abs(A))), 1.0)

@@ -2,17 +2,21 @@
 
 A structure is given by N cells glued along a base cell F = {0..N0-1}
 through an equivalence relation on {0..N}xF, together with a symmetry
-group and energy/measure weights.  Levels are built as union-find
-quotients of words.
+group and energy/measure weights.  Level n is built from level n-1 by
+N-copy recursion on integer index arrays: N copies of level n-1 are glued
+at their boundary points the way level 1 glues N copies of F.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
+
+import numpy as np
 
 
 class StructureError(ValueError):
@@ -21,9 +25,7 @@ class StructureError(ValueError):
 
 def _as_weight(x) -> Fraction | float:
     """Keep weights exact when they come in as ints/rationals/strings."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, Fraction, str)):
         return Fraction(x)
     if isinstance(x, float):
         return x
@@ -117,10 +119,7 @@ class StructureSpec:
         """Equivalence classes of {0..N-1}xF under the closed relation."""
         uf = UnionFind()
         pairs = [(i, x) for i in range(self.N) for x in range(self.N0)]
-        for p in pairs:
-            uf.add(p)
-        gens = list(self.relation)
-        for ((i, x), (i2, x2)) in gens:
+        for ((i, x), (i2, x2)) in self.relation:
             for g in self.group or [tuple(range(self.N))]:
                 uf.union((g[i], g[x]), (g[i2], g[x2]))
             uf.union((i, x), (i2, x2))
@@ -178,35 +177,17 @@ def validate_structure(spec: StructureSpec) -> ValidationReport:
     failures = []
     classes = spec.closed_relation_classes()
 
-    for cls_ in classes:
-        by_cell: dict[int, set[int]] = {}
-        for (i, x) in cls_:
-            by_cell.setdefault(i, set()).add(x)
-        if any(len(xs) > 1 for xs in by_cell.values()):
-            failures.append("relation-functional")
-            break
+    # two pairs (i, x), (i, y) of one cell in a class break functionality
+    if any(len({i for i, _ in c}) < len(c) for c in classes):
+        failures.append("relation-functional")
+    if any(len(c) > 1 and any((i, i) in c for i in range(spec.N0)) for c in classes):
+        failures.append("diagonal-singleton")
 
-    for i in range(spec.N0):
-        cls_ = next(c for c in classes if (i, i) in c)
-        if len(cls_) > 1:
-            failures.append("diagonal-singleton")
-            break
-
-    adj = {i: set() for i in range(spec.N)}
-    for cls_ in classes:
-        cells = {i for (i, _) in cls_}
-        for a in cells:
-            for b in cells:
-                if a != b:
-                    adj[a].add(b)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if len(seen) != spec.N:
+    cells = UnionFind()
+    for c in classes:
+        for (i, _) in c:
+            cells.union(min(c)[0], i)
+    if len({cells.find(i) for i in range(spec.N)}) != 1:
         failures.append("cell-graph-connected")
 
     # Group invariance of the closed relation is automatic (we close under
@@ -216,19 +197,15 @@ def validate_structure(spec: StructureSpec) -> ValidationReport:
     raw = UnionFind()
     for ((i, x), (i2, x2)) in spec.relation:
         raw.union((i, x), (i2, x2))
-    ginv_ok = True
-    for g in spec.group:
-        if any(g[x] >= spec.N0 for x in range(spec.N0)):
-            ginv_ok = False
-            break
-        for ((i, x), (i2, x2)) in spec.relation:
-            if raw.find((g[i], g[x])) != raw.find((g[i2], g[x2])):
-                ginv_ok = False
-        if tuple(spec.alpha[g[i]] for i in range(spec.N)) != tuple(spec.alpha):
-            ginv_ok = False
-        if tuple(spec.beta[g[i]] for i in range(spec.N)) != tuple(spec.beta):
-            ginv_ok = False
-    if not ginv_ok:
+
+    def invariant(g) -> bool:
+        return (
+            all(g[x] < spec.N0 for x in range(spec.N0))
+            and all(raw.find((g[i], g[x])) == raw.find((g[i2], g[x2])) for ((i, x), (i2, x2)) in spec.relation)
+            and all(w[g[i]] == w[i] for w in (spec.alpha, spec.beta) for i in range(spec.N))
+        )
+
+    if not all(invariant(g) for g in spec.group):
         failures.append("group-invariance")
 
     prods = [spec.alpha[i] * spec.beta[i] for i in range(spec.N)]
@@ -247,18 +224,13 @@ def validate_structure(spec: StructureSpec) -> ValidationReport:
 
 
 class UnionFind:
-    """Plain union-find with path compression."""
+    """Union-find with path compression over comparable keys."""
 
     def __init__(self):
         self.parent: dict = {}
 
-    def add(self, k):
-        if k not in self.parent:
-            self.parent[k] = k
-        return k
-
     def find(self, k):
-        self.add(k)
+        self.parent.setdefault(k, k)
         root = k
         while root != self.parent[root]:
             root = self.parent[root]
@@ -267,9 +239,10 @@ class UnionFind:
         return root
 
     def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        """Join the classes of a and b under the smaller root, so every root
+        is the minimum of its class."""
+        ra, rb = sorted((self.find(a), self.find(b)))
+        self.parent[rb] = ra
         return ra
 
 
@@ -279,62 +252,62 @@ class LatticeLevel:
 
     Vertices carry contiguous ids ordered by the lexicographically smallest
     word of each class, so ids are reproducible.  Words are tuples
-    (j_1, ..., j_n, x), coarsest cell index first.
+    (j_1, ..., j_n, x), coarsest cell index first.  Row k of the read-only
+    ``cell_ids`` array lists the vertex ids of the k-th n-cell of
+    _words(N, n) in base-point order; the word views are built from it on
+    first use.
     """
 
     spec: StructureSpec
     n: int
     num_vertices: int
-    word_to_id: Mapping[tuple, int]
-    id_to_word: tuple[tuple, ...]
     boundary: tuple[int, ...]
+    cell_ids: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def word_to_id(self) -> Mapping[tuple, int]:
+        return MappingProxyType({
+            prefix + (x,): v
+            for prefix, row in zip(_words(self.spec.N, self.n), self.cell_ids.tolist())
+            for x, v in enumerate(row)
+        })
+
+    @cached_property
+    def id_to_word(self) -> tuple[tuple, ...]:
+        # ids are numbered in the order of their smallest words
+        words: list = []
+        for w in sorted(self.word_to_id):
+            if self.word_to_id[w] == len(words):
+                words.append(w)
+        return tuple(words)
 
     def vertex(self, word: Sequence[int]) -> int:
         return self.word_to_id[tuple(word)]
 
-    @property
-    def interior(self) -> tuple[int, ...]:
-        bset = set(self.boundary)
-        return tuple(v for v in range(self.num_vertices) if v not in bset)
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """Ids of the non-boundary vertices, ascending, as a read-only array."""
+        idx = np.setdiff1d(np.arange(self.num_vertices), self.boundary)
+        idx.setflags(write=False)
+        return idx
 
     def cell_vertices(self, prefix: Sequence[int]) -> tuple[int, ...]:
         """Vertex ids of the (n-p)-cell with the given p-prefix, p <= n.
 
         For a full prefix (p = n) this is the embedded copy of F, listed in
-        base-point order.
+        base-point order; otherwise the ids are sorted.  The first letter is
+        the fastest-running digit of a cell_ids row index, so the cell's rows
+        are those with index = index(prefix) mod N^p.
         """
-        prefix = tuple(prefix)
         p = len(prefix)
         if p > self.n:
             raise ValueError("prefix longer than level")
-        if p == self.n:
-            return tuple(self.word_to_id[prefix + (x,)] for x in range(self.spec.N0))
-        ids = set()
-        for word, v in self.word_to_id.items():
-            if word[:p] == prefix:
-                ids.add(v)
-        return tuple(sorted(ids))
-
-    def cells(self):
-        """Every n-cell as (vertex ids, energy weight, measure weight).
-
-        The ids are those of cell_vertices(prefix).  The copy on a cell is
-        scaled by alpha_1^n/prod(alpha) in energy and by prod(beta)/beta_1^n
-        in measure (blow-up fixed to the constant sequence 1).
-        """
-        spec = self.spec
-        energy = _prefix_products((spec.alpha[0],) * spec.N, spec.alpha, self.n)
-        measure = _prefix_products(spec.beta, (spec.beta[0],) * spec.N, self.n)
-        for prefix, wa, wb in zip(_words(spec.N, self.n), energy, measure):
-            yield self.cell_vertices(prefix), wa, wb
+        rows = self.cell_ids[sum(j * self.spec.N**k for k, j in enumerate(prefix)) :: self.spec.N**p]
+        return tuple(rows[0].tolist()) if p == self.n else tuple(np.unique(rows).tolist())
 
     def vertex_permutation(self, g: Sequence[int]) -> tuple[int, ...]:
         """Vertex permutation induced by a group element."""
-        perm = [0] * self.num_vertices
-        for v, word in enumerate(self.id_to_word):
-            gw = tuple(g[c] for c in word)
-            perm[v] = self.word_to_id[gw]
-        return tuple(perm)
+        return tuple(self.word_to_id[tuple(g[c] for c in word)] for word in self.id_to_word)
 
 
 def _words(N: int, n: int):
@@ -349,54 +322,34 @@ def _words(N: int, n: int):
             yield head + (j,)
 
 
-def _prefix_products(num, den, n: int) -> list:
-    """prod_k num[j_k] / den[j_k] for every word of _words(len(num), n), in
-    that order; each extends its head's product by one factor."""
-    w = [Fraction(1) if is_exact(tuple(num) + tuple(den)) else 1.0]
-    for _ in range(n):
-        w = [h * num[j] / den[j] for j in range(len(num)) for h in w]
-    return w
-
-
 def build_level(spec: StructureSpec, n: int) -> LatticeLevel:
-    """Quotient {0..N-1}^n x F by the level-n closure of the relation."""
+    """Quotient {0..N-1}^n x F by the level-n closure of the relation.
+
+    Level k is N copies of level k-1: candidate i V' + v is vertex v of copy
+    i, and each closed level-1 class glues the candidates i V' + B'[x] of its
+    members (i, x).  A merged class keeps its smallest candidate, which has
+    the smallest word, so ids follow min words."""
     if n < 0:
         raise ValueError("level must be >= 0")
     classes = spec.closed_relation_classes()
-    class_of: dict[tuple[int, int], frozenset] = {}
-    for cls_ in classes:
-        for p in cls_:
-            class_of[p] = cls_
-
-    uf = UnionFind()
-    words = [prefix + (x,) for prefix in _words(spec.N, n) for x in range(spec.N0)]
-    for w in words:
-        uf.add(w)
-    for w in words:
-        x = w[-1]
-        # A glue at position m applies when the finer part of the word is
-        # the constant continuation (x, ..., x, x).
-        for m in range(n):
-            if any(w[t] != x for t in range(m + 1, n)):
-                continue
-            for (i2, x2) in class_of[(w[m], x)]:
-                w2 = w[:m] + (i2,) + (x2,) * (n - m - 1) + (x2,)
-                uf.union(w, w2)
-
-    reps: dict = {}
-    for w in words:
-        r = uf.find(w)
-        if r not in reps or w < reps[r]:
-            reps[r] = w
-    ordered = sorted(reps.values())
-    id_of_rep = {w: k for k, w in enumerate(ordered)}
-    word_to_id = {w: id_of_rep[reps[uf.find(w)]] for w in words}
-    boundary = tuple(word_to_id[(x,) * (n + 1)] for x in range(spec.N0))
+    N, N0 = spec.N, spec.N0
+    ids = np.arange(N0, dtype=np.int64)[None, :]
+    V, B = N0, np.arange(N0, dtype=np.int64)
+    for _ in range(n):
+        uf = UnionFind()
+        for cls_ in classes:
+            first, *rest = (i * V + int(B[x]) for (i, x) in cls_)
+            for c in rest:
+                uf.union(first, c)
+        root = np.arange(N * V)
+        for c in uf.parent:
+            root[c] = uf.find(c)
+        keep = root == np.arange(N * V)
+        id_of = (np.cumsum(keep) - 1)[root]
+        # row i + N r of level k is copy i of row r of level k-1
+        ids = id_of[np.arange(N)[None, :, None] * V + ids[:, None, :]].reshape(-1, N0)
+        V, B = int(keep.sum()), id_of[np.arange(N0) * V + B]
+    ids.setflags(write=False)
     return LatticeLevel(
-        spec=spec,
-        n=n,
-        num_vertices=len(ordered),
-        word_to_id=MappingProxyType(word_to_id),
-        id_to_word=tuple(ordered),
-        boundary=boundary,
+        spec=spec, n=n, num_vertices=V, boundary=tuple(B.tolist()), cell_ids=ids
     )
