@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -47,11 +48,10 @@ FLOAT_FMT = "%.17g"
 
 
 def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return FLOAT_FMT % float(x)
-    if isinstance(x, (int,)):
-        return str(x)
-    return FLOAT_FMT % (x + 0.0)  # -0.0 + 0.0 == +0.0: write "0", never "-0"
+    if isinstance(x, float) or not isinstance(x, int):
+        # -0.0 + 0.0 == +0.0: write "0", never "-0"; a Fraction plus 0.0 is float(x)
+        return FLOAT_FMT % (x + 0.0)
+    return str(x)
 
 
 def _config_hash(payload: dict) -> str:
@@ -134,7 +134,9 @@ def _add_common(p, base_opt=True):
     p.add_argument("--out", default=".", help="output directory")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args leaves it unchanged)."""
     ap = argparse.ArgumentParser(
         prog="fraclat",
         description="Spectra of self-similar lattices via Schur-complement renormalization",

@@ -244,20 +244,17 @@ def generator_pair_product(n: int, subset) -> GrassmannElement:
 def restrict(X: GrassmannElement, subset) -> GrassmannElement:
     """R_{F -> F'}: interior product by the dropped pairs, reindexed to F'.
 
-    ``subset`` lists the generators to keep; the result lives on
-    len(subset) generators, relabelled order-preservingly.
+    ``subset`` lists distinct generators to keep, in any order; the result
+    lives on len(subset) generators, generator subset[p] becoming generator p.
     """
-    keep = sorted(set(int(i) for i in subset))
-    drop = [i for i in range(X.n) if i not in set(keep)]
-    Y = generator_pair_product(X.n, drop)
-    mid = interior_product(Y, X)
-    pos = {g: p for p, g in enumerate(keep)}
-    out: dict = {}
-    for (i, j), c in mid.coeffs.items():
-        im = sum(1 << pos[g] for g in _bits(i))
-        jm = sum(1 << pos[g] for g in _bits(j))
-        out[(im, jm)] = c
-    return GrassmannElement(len(keep), out)
+    keep = [int(i) for i in subset]
+    kept = set(keep)
+    if len(kept) != len(keep) or not kept <= set(range(X.n)):
+        raise ValueError("subset must list distinct generators of X")
+    drop = [i for i in range(X.n) if i not in kept]
+    mid = interior_product(generator_pair_product(X.n, drop), X)
+    # the inverse of the permutation keep + drop; dropped generators no longer occur
+    return relabel(mid, np.argsort(keep + drop).tolist(), len(keep))
 
 
 def relabel(X: GrassmannElement, images, n_out: int | None = None) -> GrassmannElement:

@@ -115,32 +115,38 @@ def cell_weights(num, den, n: int) -> tuple[np.ndarray, int | None]:
 
 
 def cell_sums(lat: LatticeLevel, weights, M: np.ndarray, exact: bool = True):
-    """The one cell-assembly kernel: sum w_c M[x, y] at (ids_c[x], ids_c[y])
-    over every n-cell c (ids_c = lat.cell_ids[c]) and (x, y) with M[x, y] != 0,
-    by one scatter-add in (c, x, y) order.  Returns (keys, sums, den): sums at
+    """The one cell-assembly kernel: sum w_c M[..., x, y] at (ids_c[x], ids_c[y])
+    over every n-cell c (ids_c = lat.cell_ids[c]) and (x, y) nonzero in some
+    matrix of the (..., N0, N0) stack M, by one scatter-add in (c, x, y)
+    order.  Returns (keys, sums, den): sums of shape (..., len(keys)) at
     sorted flat indices row * V + col, integer numerators over den when the
     weights and M are exact (int64 if a bound on every partial sum and on den
     is below 2**53, else Python ints; with ``exact`` false each product is
     rounded once before a float sum), else floating point with den None."""
     w, den = weights
-    x, y = np.nonzero(M != 0)
+    pattern = M != 0
+    while pattern.ndim > 2:
+        pattern = pattern.any(axis=0)
+    x, y = np.nonzero(pattern)
     ids, V = lat.cell_ids, lat.num_vertices
     keys, inv, count = np.unique(
         (ids[:, x] * V + ids[:, y]).ravel(), return_inverse=True, return_counts=True
     )
+    Mxy = M[..., x, y]
     if den is not None and is_exact(M.flat):
-        m, mden = _over_lcm(M[x, y])
+        m, mden = _over_lcm(Mxy.ravel())
         den *= mden
         bound = int(w.max()) * max(map(abs, m), default=0) * int(count.max(initial=0))
         dtype = np.int64 if bound < 2**53 and den < 2**53 else object
-        vals = (w.astype(dtype)[:, None] * m.astype(dtype)).ravel()
+        vals = w.astype(dtype)[:, None] * m.astype(dtype).reshape(Mxy.shape)[..., None, :]
         if not exact:
             vals, den = (vals / den).astype(float), None
     else:
         w = w if den is None else (w / den).astype(float)
-        vals, den = (w[:, None] * (M[x, y] if M.dtype != object else M[x, y].astype(float))).ravel(), None
-    sums = np.zeros(len(keys), dtype=vals.dtype)
-    np.add.at(sums, inv, vals)
+        vals, den = w[:, None] * (Mxy if M.dtype != object else Mxy.astype(float))[..., None, :], None
+    vals = vals.reshape(*Mxy.shape[:-1], -1)
+    sums = np.zeros((*Mxy.shape[:-1], len(keys)), dtype=vals.dtype)
+    np.add.at(sums.T, inv, vals.T)  # (keys, ...) += (terms, ...): per matrix in term order
     return keys, sums, den
 
 

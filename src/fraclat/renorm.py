@@ -19,9 +19,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import grassmann as gr
+from .dynamics import COEFF_BIT_LIMIT
 from .grassmann import GrassmannElement
 from .operator import BaseOperator, assemble, cell_sums, cell_weights, sums_exact
-from .schur import trace_on_subset
+from .schur import in_siegel_halfspace, trace_on_subset
 from .spectral import AtomicMeasure, nd_nullity, nd_spectrum
 from .structure import LatticeLevel, StructureSpec, build_level, is_exact
 
@@ -32,10 +33,6 @@ class RenormContext:
 
     spec: StructureSpec
     level1: LatticeLevel
-    cell_images: tuple[tuple[int, ...], ...]  # generator images of each cell map
-    boundary_sorted: tuple[int, ...]
-    boundary_labels: tuple[int, ...]  # F-label of each sorted boundary id
-    energy_scalings: tuple  # alpha_1/alpha_i per cell
 
     @classmethod
     def build(cls, spec: StructureSpec) -> "RenormContext":
@@ -70,6 +67,8 @@ class RenormContext:
 
         C_n = prod_k (alpha_k/alpha_1) ** sum_{j<n} |interior F_j| N^(n-1-j),
         from C_n = C_{n-1}^N * prod_k (alpha_k/alpha_1)^{|interior F_{n-1}|}.
+        With exact weights, raises ValueError before taking a power whose
+        numerator and denominator would need over COEFF_BIT_LIMIT bits.
         """
         spec = self.spec
         p = Fraction(1) if is_exact(spec.alpha) else 1.0
@@ -78,22 +77,14 @@ class RenormContext:
         e = 0
         for j in range(n):
             e += (self.vertex_count(j) - spec.N0) * spec.N ** (n - 1 - j)
+        if isinstance(p, Fraction) and e * ((p.numerator * p.denominator).bit_length() - 1) > COEFF_BIT_LIMIT:
+            raise ValueError(f"C_{n} = ({p})**{e} exceeds {COEFF_BIT_LIMIT} bits")
         return p**e
 
 
 @lru_cache(maxsize=16)
 def _build_context(spec: StructureSpec, weight_types: tuple) -> RenormContext:
-    lat1 = build_level(spec, 1)
-    w, den = cell_weights((spec.alpha[0],) * spec.N, spec.alpha, 1)
-    bsorted = tuple(sorted(lat1.boundary))
-    return RenormContext(
-        spec=spec,
-        level1=lat1,
-        cell_images=tuple(map(tuple, lat1.cell_ids.tolist())),
-        boundary_sorted=bsorted,
-        boundary_labels=tuple(lat1.boundary.index(v) for v in bsorted),
-        energy_scalings=tuple(w.tolist()) if den is None else tuple(Fraction(c, den) for c in w),
-    )
+    return RenormContext(spec=spec, level1=build_level(spec, 1))
 
 
 @dataclass(frozen=True)
@@ -144,32 +135,33 @@ def compile_r(ctx: RenormContext) -> RTensor:
     that no later cell can supply; each surviving full product is restricted
     to the boundary algebra, which leaves one monomial.
     """
-    n0, N, V1 = ctx.spec.N0, ctx.spec.N, ctx.level1.num_vertices
+    spec, lat1 = ctx.spec, ctx.level1
+    n0, N, V1 = spec.N0, spec.N, lat1.num_vertices
     basis, index = gr.basis(n0), gr.basis_index(n0)
+    w, den = cell_weights((spec.alpha[0],) * N, spec.alpha, 1)
+    scalings = w.tolist() if den is None else [Fraction(c, den) for c in w]  # alpha_1/alpha_i
+    cells = lat1.cell_ids.tolist()
     lifts = [
         [
             (d, *_single(gr.relabel(GrassmannElement(n0, {(I, J): s ** I.bit_count()}), images, V1)))
             for d, (I, J) in enumerate(basis)
         ]
-        for images, s in zip(ctx.cell_images, ctx.energy_scalings)
+        for images, s in zip(cells, scalings)
     ]
     interior = (1 << V1) - 1
-    for v in ctx.boundary_sorted:
+    for v in lat1.boundary:
         interior &= ~(1 << v)
     due, later = [0] * N, 0
     for i in reversed(range(N)):
         due[i] = interior & ~later
-        for v in ctx.cell_images[i]:
+        for v in cells[i]:
             later |= 1 << v
 
     terms = []
 
     def extend(i, I, J, c, factors):
         if i == N:
-            res = gr.restrict(GrassmannElement(V1, {(I, J): c}), ctx.boundary_sorted)
-            if ctx.boundary_labels != tuple(range(n0)):
-                res = gr.relabel(res, ctx.boundary_labels)
-            i_out, j_out, c_out = _single(res)
+            i_out, j_out, c_out = _single(gr.restrict(GrassmannElement(V1, {(I, J): c}), lat1.boundary))
             terms.append((index[(i_out, j_out)], factors, c_out))
             return
         for d, Ii, Ji, ci in lifts[i]:
@@ -193,7 +185,7 @@ def compile_r(ctx: RenormContext) -> RTensor:
     )
     for a in arrays.values():
         a.setflags(write=False)
-    return RTensor(exact=is_exact(ctx.energy_scalings), **arrays)
+    return RTensor(exact=is_exact(scalings), **arrays)
 
 
 def symmetric_commutant_basis(spec: StructureSpec) -> tuple[np.ndarray, ...]:
@@ -250,28 +242,32 @@ def gasket_coords(Q: np.ndarray) -> tuple:
 
 
 def level_matrix(ctx: RenormContext, Q: np.ndarray, lat: LatticeLevel | None = None) -> np.ndarray:
-    """Assemble Q_<n>: the weighted sum of copies of Q over all n-cells,
-    exact (object Fractions) when Q and the energy weights are, else complex."""
+    """Assemble Q_<n> for Q or for every matrix of a (..., N0, N0) stack: the
+    weighted sum of copies of Q over all n-cells, exact (object Fractions)
+    when Q and the energy weights are, else complex."""
     lat = ctx.level1 if lat is None else lat
     Q = np.asarray(Q)
     spec, V = ctx.spec, lat.num_vertices
     weights = cell_weights((spec.alpha[0],) * spec.N, spec.alpha, lat.n)
     exact = Q.dtype == object and is_exact(Q.flat)
-    keys, sums, den = s = cell_sums(lat, weights, Q if exact else Q.astype(complex))
-    out = np.zeros(V * V, dtype=complex) if den is None else np.full(V * V, Fraction(0), dtype=object)
-    out[keys] = sums if den is None else sums_exact(*s)
-    return out.reshape(V, V)
+    keys, sums, den = cell_sums(lat, weights, Q if exact else Q.astype(complex))
+    shape = (*Q.shape[:-2], V * V)
+    if den is None:
+        out = np.zeros(shape, dtype=complex)
+    else:
+        out = np.full(shape, Fraction(0), dtype=object)
+        sums = np.reshape(sums_exact(keys, sums.ravel(), den), sums.shape)
+    out[..., keys] = sums
+    return out.reshape(*Q.shape[:-2], V, V)
 
 
 def t_map(ctx: RenormContext, Q: np.ndarray) -> np.ndarray:
-    """One decimation step: trace of Q_<1> on the level-1 boundary."""
+    """One decimation step on Q or on every matrix of a (..., N0, N0) stack:
+    the trace of Q_<1> on the level-1 boundary, in the boundary's labels."""
     Q = np.asarray(Q)
-    if Q.shape != (ctx.spec.N0, ctx.spec.N0):
+    if Q.shape[-2:] != (ctx.spec.N0, ctx.spec.N0):
         raise ValueError("Q must act on the base cell")
-    tr = trace_on_subset(level_matrix(ctx, Q), ctx.boundary_sorted)
-    out = np.empty_like(tr)
-    out[np.ix_(ctx.boundary_labels, ctx.boundary_labels)] = tr
-    return out
+    return trace_on_subset(level_matrix(ctx, Q), ctx.level1.boundary)
 
 
 def t_iterate(ctx: RenormContext, Q: np.ndarray, n: int) -> np.ndarray:
@@ -490,10 +486,8 @@ def siegel_cross_ratio(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
 
 def siegel_distance(Q1: np.ndarray, Q2: np.ndarray) -> float:
     """Geodesic distance on the Siegel upper half-space."""
-    for Q in (Q1, Q2):
-        im = np.imag(np.asarray(Q, dtype=complex))
-        if np.linalg.eigvalsh(0.5 * (im + im.T))[0] <= 0:
-            raise ValueError("arguments must have positive-definite imaginary part")
+    if not (in_siegel_halfspace(Q1) and in_siegel_halfspace(Q2)):
+        raise ValueError("arguments must have positive-definite imaginary part")
     R = siegel_cross_ratio(Q1, Q2)
     r = np.linalg.svd(R, compute_uv=False)
     r = np.clip(r, 0.0, 1.0 - 1e-16)
@@ -535,22 +529,20 @@ def siegel_invariance_check(
     def min_root(M):
         return float(np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)[-1])
 
-    TQ = t_map(ctx, Q)
-    imTQ = np.imag(TQ)
-    im_pos = bool(np.linalg.eigvalsh(0.5 * (imTQ + imTQ.T))[0] > 0)
+    iid = 1j * np.eye(n0)
+    TQ, T_iid = t_map(ctx, np.stack([np.asarray(Q, dtype=complex), iid]))
+    im_pos = in_siegel_halfspace(TQ)
     lower = min_root(np.imag(TQ)) >= a1 / amax * min_root(np.imag(Q)) - slack
     inv = min_root(np.imag(np.linalg.inv(TQ))) >= (amin / a1) * min_root(
         np.imag(np.linalg.inv(Q))
     ) - slack
 
-    iid = 1j * np.eye(n0)
     d_base = siegel_distance(iid, Q)
-    d_step = siegel_distance(iid, t_map(ctx, iid))
+    d_step = siegel_distance(iid, T_iid)
     ok_dist = True
-    Qn = Q
     dets = {}
     for n in range(1, n_iter + 1):
-        Qn = t_map(ctx, Qn)
+        Qn = TQ if n == 1 else t_map(ctx, Qn)
         lhs = siegel_distance(iid, Qn)
         rhs = math.sqrt(n0) * (d_base + n * d_step)
         dets[n] = (lhs, rhs)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,11 @@ def test_fmt_writes_zero_unsigned():
 
     assert _fmt(-0.0) == _fmt(0.0) == "0"
     assert _fmt(-1.5) == "-1.5" and _fmt(3) == "3"
+    assert _fmt(np.float64(-0.0)) == _fmt(np.float64(0.0)) == "0"
+    assert _fmt(np.float64(0.1)) == _fmt(0.1) == "0.10000000000000001"
+    assert _fmt(np.int64(-7)) == "-7" and _fmt(np.int64(0)) == "0"
+    assert _fmt(Fraction(1, 3)) == "%.17g" % (1 / 3) and _fmt(Fraction(-2)) == "-2"
+    assert _fmt(Fraction(0)) == "0" and _fmt(True) == "True"
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,7 @@ import pytest
 
 from fraclat import grassmann as gr
 from fraclat.grassmann import GrassmannElement
-from fraclat.operator import laplacian_base
+from fraclat.operator import cell_weights, laplacian_base
 from fraclat.renorm import (
     ZERO_NORM_FLOOR,
     RenormContext,
@@ -30,16 +30,20 @@ from test_weighted_and_permuted import STRUCTURES
 
 
 def r_map_reference(ctx, X):
-    V1 = ctx.level1.num_vertices
+    spec, lat1 = ctx.spec, ctx.level1
+    V1 = lat1.num_vertices
+    w, den = cell_weights((spec.alpha[0],) * spec.N, spec.alpha, 1)
+    scalings = w.tolist() if den is None else [Fraction(c, den) for c in w]
     prod = None
-    for i in range(ctx.spec.N):
-        lifted = gr.relabel(
-            gr.scale_degree(X, ctx.energy_scalings[i]), ctx.cell_images[i], V1
-        )
+    for images, s in zip(lat1.cell_ids.tolist(), scalings):
+        lifted = gr.relabel(gr.scale_degree(X, s), images, V1)
         prod = lifted if prod is None else gr.gr_mul(prod, lifted)
-    res = gr.restrict(prod, ctx.boundary_sorted)
-    if ctx.boundary_labels != tuple(range(ctx.spec.N0)):
-        res = gr.relabel(res, ctx.boundary_labels)
+    # restrict to the sorted boundary, then relabel each boundary id to its F-label
+    bsorted = sorted(lat1.boundary)
+    res = gr.restrict(prod, bsorted)
+    labels = [lat1.boundary.index(v) for v in bsorted]
+    if labels != list(range(spec.N0)):
+        res = gr.relabel(res, labels)
     return res
 
 

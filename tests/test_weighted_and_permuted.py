@@ -64,7 +64,7 @@ def test_zigzag_validates_and_counts(zig):
 
 def test_zigzag_cell_maps_not_monotone(zig_ctx):
     # the point of this structure: at least one lift scrambles the order
-    assert any(list(img) != sorted(img) for img in zig_ctx.cell_images)
+    assert any(list(img) != sorted(img) for img in zig_ctx.level1.cell_ids.tolist())
 
 
 def test_zigzag_is_path_graph(zig):
