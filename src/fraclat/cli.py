@@ -162,10 +162,17 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=3)
     p.add_argument("--points", type=int, default=200)
 
-    p = sub.add_parser("green", help="Green function scan over a complex grid")
+    p = sub.add_parser(
+        "green",
+        help="Green function scan over a complex grid",
+        description="Green function of R at phi(lambda) = exp_q(A - lambda diag(b)) over a grid "
+        "of complex lambda.  lambda is the pencil variable of A v = lambda b v: the spectrum "
+        "lies at lambda >= 0, the negatives of the eigenvalues that the spectrum command "
+        "reports.  The gasket Laplacian's lie in [0, 6], inside the default window [-1, 6].",
+    )
     _add_common(p)
-    p.add_argument("--re-min", type=float, default=-6.0)
-    p.add_argument("--re-max", type=float, default=1.0)
+    p.add_argument("--re-min", type=float, default=-1.0)
+    p.add_argument("--re-max", type=float, default=6.0)
     p.add_argument("--re-steps", type=int, default=29)
     p.add_argument("--im-min", type=float, default=0.25)
     p.add_argument("--im-max", type=float, default=1.0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 from sympy import QQ
@@ -318,16 +318,15 @@ class IntervalMaps:
     t_coords: tuple  # T on (a, d, q): (three numerators, common denominator) in QQ[a, d, q]
     rhat: tuple  # degree-2 polynomial lift on C^3, three elements of QQ[a, d, q]
 
-    def rhat_numeric(self, v):
+    @cached_property
+    def rhat_terms(self) -> tuple:
+        """The terms c a^i d^j q^k of each rhat component as (float(c), i, j, k)."""
+        return tuple(tuple((float(c), *m) for m, c in comp.iterterms()) for comp in self.rhat)
+
+    def rhat_numeric(self, v) -> tuple[complex, complex, complex]:
         """rhat at a complex point v = (a, d, q), term by term."""
         a, d, q = v
-        return np.array(
-            [
-                sum(float(c) * a**i * d**j * q**k for (i, j, k), c in comp.iterterms())
-                for comp in self.rhat
-            ],
-            dtype=complex,
-        )
+        return tuple(sum(c * a**i * d**j * q**k for c, i, j, k in comp) for comp in self.rhat_terms)
 
 
 def interval_maps(alpha) -> IntervalMaps:
@@ -363,22 +362,22 @@ def interval_green_estimate(m: IntervalMaps, Q, n_max: int = 30):
     """Normalized degree-2 iteration of the C^3 lift.
 
     Returns (value, gap_history) with value = ln||Q|| + sum g_k / 2^{k+1}.
+    The point is three Python complex numbers, so one step costs a few
+    microseconds.
     """
-    v = np.asarray(Q, dtype=complex)
-    nrm = float(np.linalg.norm(v))
+    v = tuple(map(complex, Q))
+    nrm = math.hypot(*map(abs, v))
     if nrm == 0:
         raise ValueError("nonzero start needed")
-    v = v / nrm
     value = math.log(nrm)
     partials = []
     for k in range(n_max):
-        v = m.rhat_numeric(v)
-        nrm = float(np.linalg.norm(v))
+        v = m.rhat_numeric([x / nrm for x in v])
+        nrm = math.hypot(*map(abs, v))
         if nrm == 0:
             return -math.inf, partials
         value += math.log(nrm) / 2 ** (k + 1)
         partials.append(value)
-        v = v / nrm
     return value, partials
 
 

@@ -8,7 +8,6 @@ the inputs are exact; eigensolving densifies to float.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -16,7 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .structure import LatticeLevel, StructureSpec, UnionFind, is_exact
+from .structure import LatticeLevel, StructureSpec, UnionFind, _over_lcm, is_exact
 
 
 class DimensionError(ValueError):
@@ -89,29 +88,6 @@ def laplacian_base(spec: StructureSpec) -> BaseOperator:
         tuple(one if x != y else zero for y in range(n0)) for x in range(n0)
     )
     return BaseOperator(a=a, b=(one,) * n0)
-
-
-def _over_lcm(values) -> tuple[np.ndarray, int]:
-    """Exact values as Python-int numerators over their least common denominator."""
-    den = math.lcm(*(Fraction(v).denominator for v in values))
-    return np.array([int(Fraction(v) * den) for v in values], dtype=object), den
-
-
-def cell_weights(num, den, n: int) -> tuple[np.ndarray, int | None]:
-    """prod_k num[j_k]/den[j_k] for every n-cell, in cell_ids row order: exact
-    inputs give Python-int numerators over Q^n (num[j]/den[j] = c_j/Q), others
-    floats (None for Q^n) multiplied factor by factor, coarsest letter first."""
-    if is_exact(tuple(num) + tuple(den)):
-        c, q = _over_lcm([Fraction(a) / b for a, b in zip(num, den)])
-        w = np.ones(1, dtype=object)
-        for _ in range(n):
-            w = (c[:, None] * w).ravel()
-        return w, q**n
-    num, den = (np.array([float(v) for v in t])[:, None] for t in (num, den))
-    w = np.ones(1)
-    for _ in range(n):
-        w = (w * num / den).ravel()
-    return w, None
 
 
 def cell_sums(lat: LatticeLevel, weights, M: np.ndarray, exact: bool = True):
@@ -222,21 +198,26 @@ def assemble(base: BaseOperator, spec: StructureSpec, lat: LatticeLevel) -> Leve
     """Sum weighted copies of (A, b) over every n-cell of the lattice: the
     copy on cell j_1..j_n is scaled by prod_k alpha_1/alpha_{j_k} in energy
     and by prod_k beta_{j_k}/beta_1 in measure (blow-up fixed to the
-    constant sequence 1); b_n is the diagonal of the cell sums of diag(b)."""
+    constant sequence 1), the lattice's weight tables; b_n is the diagonal
+    of the cell sums of diag(b)."""
     if base.size != spec.N0:
         raise DimensionError(
             f"base operator has size {base.size}, structure needs {spec.N0}"
         )
-    if lat.spec is not spec and lat.spec != spec:
-        raise DimensionError("lattice was built from a different structure")
-
+    check_lattice(spec, lat)
     exact = base.exact and is_exact(spec.alpha) and is_exact(spec.beta)
     b = np.diag(np.array(base.b, dtype=object if is_exact(base.b) else float))
-    energy = cell_weights((spec.alpha[0],) * spec.N, spec.alpha, lat.n)
-    measure = cell_weights(spec.beta, (spec.beta[0],) * spec.N, lat.n)
+    energy, measure = lat.energy_weights, lat.measure_weights
     return LevelOperator(
         base, lat, cell_sums(lat, energy, base.matrix(), exact), cell_sums(lat, measure, b, exact)
     )
+
+
+def check_lattice(spec: StructureSpec, lat: LatticeLevel) -> None:
+    """Refuse a lattice built from another structure.  Its weight tables
+    follow lat.spec, so its weights must also have the types of spec's."""
+    if lat.spec is not spec and (lat.spec != spec or lat.spec.weight_types != spec.weight_types):
+        raise DimensionError("lattice was built from a different structure")
 
 
 def pencil(op: LevelOperator, boundary_condition: str = "neumann"):

@@ -21,7 +21,7 @@ import numpy as np
 from . import grassmann as gr
 from .dynamics import COEFF_BIT_LIMIT
 from .grassmann import GrassmannElement
-from .operator import BaseOperator, assemble, cell_sums, cell_weights, sums_exact
+from .operator import BaseOperator, assemble, cell_sums, check_lattice, sums_exact
 from .schur import in_siegel_halfspace, trace_on_subset
 from .spectral import AtomicMeasure, nd_nullity, nd_spectrum
 from .structure import LatticeLevel, StructureSpec, build_level, is_exact
@@ -39,7 +39,7 @@ class RenormContext:
         """The context of ``spec``, built once per spec and weight types
         (equal weights of different types, 1 and 1.0, build different
         contexts) and shared: a context is immutable."""
-        return _build_context(spec, tuple(map(type, spec.alpha + spec.beta)))
+        return _build_context(spec, spec.weight_types)
 
     @cached_property
     def symg_basis(self) -> tuple[np.ndarray, ...]:
@@ -138,7 +138,7 @@ def compile_r(ctx: RenormContext) -> RTensor:
     spec, lat1 = ctx.spec, ctx.level1
     n0, N, V1 = spec.N0, spec.N, lat1.num_vertices
     basis, index = gr.basis(n0), gr.basis_index(n0)
-    w, den = cell_weights((spec.alpha[0],) * N, spec.alpha, 1)
+    w, den = lat1.energy_weights
     scalings = w.tolist() if den is None else [Fraction(c, den) for c in w]  # alpha_1/alpha_i
     cells = lat1.cell_ids.tolist()
     lifts = [
@@ -244,13 +244,14 @@ def gasket_coords(Q: np.ndarray) -> tuple:
 def level_matrix(ctx: RenormContext, Q: np.ndarray, lat: LatticeLevel | None = None) -> np.ndarray:
     """Assemble Q_<n> for Q or for every matrix of a (..., N0, N0) stack: the
     weighted sum of copies of Q over all n-cells, exact (object Fractions)
-    when Q and the energy weights are, else complex."""
+    when Q and the energy weights are, else complex.  ``lat`` (level 1 by
+    default) must be built from ctx.spec, whose energy weights it carries."""
     lat = ctx.level1 if lat is None else lat
+    check_lattice(ctx.spec, lat)
     Q = np.asarray(Q)
-    spec, V = ctx.spec, lat.num_vertices
-    weights = cell_weights((spec.alpha[0],) * spec.N, spec.alpha, lat.n)
+    V = lat.num_vertices
     exact = Q.dtype == object and is_exact(Q.flat)
-    keys, sums, den = cell_sums(lat, weights, Q if exact else Q.astype(complex))
+    keys, sums, den = cell_sums(lat, lat.energy_weights, Q if exact else Q.astype(complex))
     shape = (*Q.shape[:-2], V * V)
     if den is None:
         out = np.zeros(shape, dtype=complex)

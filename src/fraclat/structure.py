@@ -10,6 +10,7 @@ at their boundary points the way level 1 glues N copies of F.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -35,6 +36,31 @@ def _as_weight(x) -> Fraction | float:
 def is_exact(values) -> bool:
     """True when every value is an int or a Fraction (the exact pipelines)."""
     return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def _over_lcm(values) -> tuple[np.ndarray, int]:
+    """Exact values as Python-int numerators over their least common denominator."""
+    den = math.lcm(*(Fraction(v).denominator for v in values))
+    return np.array([int(Fraction(v) * den) for v in values], dtype=object), den
+
+
+def cell_weights(num, den, n: int) -> tuple[np.ndarray, int | None]:
+    """prod_k num[j_k]/den[j_k] for every n-cell, in cell_ids row order: exact
+    inputs give Python-int numerators over Q^n (num[j]/den[j] = c_j/Q), others
+    floats (None for Q^n) multiplied factor by factor, coarsest letter first.
+    The weight array is read-only."""
+    if is_exact(tuple(num) + tuple(den)):
+        c, q = _over_lcm([Fraction(a) / b for a, b in zip(num, den)])
+        w, wden = np.ones(1, dtype=object), q**n
+        for _ in range(n):
+            w = (c[:, None] * w).ravel()
+    else:
+        num, den = (np.array([float(v) for v in t])[:, None] for t in (num, den))
+        w, wden = np.ones(1), None
+        for _ in range(n):
+            w = (w * num / den).ravel()
+    w.setflags(write=False)
+    return w, wden
 
 
 @dataclass(frozen=True)
@@ -74,6 +100,12 @@ class StructureSpec:
         for w in tuple(self.alpha) + tuple(self.beta):
             if not w > 0:
                 raise StructureError(f"weight {w} <= 0")
+
+    @property
+    def weight_types(self) -> tuple[type, ...]:
+        """Types of alpha + beta: equal weights of other types (1 and 1.0)
+        give other weight tables, exact or float."""
+        return tuple(map(type, self.alpha + self.beta))
 
     # -- construction helpers -------------------------------------------------
 
@@ -255,7 +287,8 @@ class LatticeLevel:
     (j_1, ..., j_n, x), coarsest cell index first.  Row k of the read-only
     ``cell_ids`` array lists the vertex ids of the k-th n-cell of
     _words(N, n) in base-point order; the word views are built from it on
-    first use.
+    first use.  ``energy_weights`` and ``measure_weights`` hold the scaling
+    of every n-cell, in the same row order, for the spec's own weights.
     """
 
     spec: StructureSpec
@@ -283,6 +316,20 @@ class LatticeLevel:
 
     def vertex(self, word: Sequence[int]) -> int:
         return self.word_to_id[tuple(word)]
+
+    @cached_property
+    def energy_weights(self) -> tuple[np.ndarray, int | None]:
+        """cell_weights of the energy scaling prod_k alpha_1/alpha_{j_k} of
+        every n-cell, computed once."""
+        alpha = self.spec.alpha
+        return cell_weights((alpha[0],) * self.spec.N, alpha, self.n)
+
+    @cached_property
+    def measure_weights(self) -> tuple[np.ndarray, int | None]:
+        """cell_weights of the measure scaling prod_k beta_{j_k}/beta_1 of
+        every n-cell, computed once."""
+        beta = self.spec.beta
+        return cell_weights(beta, (beta[0],) * self.spec.N, self.n)
 
     @cached_property
     def interior(self) -> np.ndarray:

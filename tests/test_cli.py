@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from fraclat.cli import EXIT_BAD_CONFIG, EXIT_CEILING, EXIT_OK, EXIT_VALIDATION, run
+from fraclat.operator import assemble, laplacian_base
+from fraclat.spectral import spectrum
+from fraclat.structure import build_level, builtin_gasket
 
 
 def lines(path: Path):
@@ -105,6 +108,16 @@ def test_green_scan(tmp_path):
     content = lines(tmp_path / "gasket_green.csv")
     assert content[1] == "re_lambda,im_lambda,value,iters,tail"
     assert len(content) == 2 + 6
+
+
+def test_green_default_window_spans_the_spectrum(tmp_path):
+    # green takes the pencil variable: the gasket Laplacian's spectrum, negated, in [0, 6]
+    assert run(["green", "--builtin", "gasket", "--out", str(tmp_path)]) == EXIT_OK
+    re = [float(row.split(",")[0]) for row in lines(tmp_path / "gasket_green.csv")[2:]]
+    assert min(re) <= 0 and max(re) >= 6
+    spec = builtin_gasket()
+    pencil = -spectrum(assemble(laplacian_base(spec), spec, build_level(spec, 3)), "neumann").eigenvalues
+    assert min(re) <= pencil.min() + 1e-9 and pencil.max() <= max(re) + 1e-9
 
 
 def test_gasket_measure_report(tmp_path, capsys):

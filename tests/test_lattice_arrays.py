@@ -2,8 +2,10 @@
 against reference copies of the loops they replaced: the word union-find of
 build_level, and the per-cell assembly of assemble and level_matrix with
 weights multiplied word by word.  Exact results must be equal, float
-results bitwise equal."""
+results bitwise equal.  The cell weight tables of a level are checked
+against the weight kernel on the level's own weights."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from fraclat.operator import BaseOperator, assemble, laplacian_base
+from fraclat import structure
+from fraclat.operator import BaseOperator, DimensionError, assemble, laplacian_base
 from fraclat.renorm import RenormContext, level_matrix
 from fraclat.structure import (
     StructureSpec,
@@ -19,6 +22,7 @@ from fraclat.structure import (
     _words,
     build_level,
     builtin_interval,
+    cell_weights,
     is_exact,
     validate_structure,
 )
@@ -243,6 +247,51 @@ def test_context_built_once_per_spec():
     assert float_spec == builtin_interval(Fraction(1, 2))
     assert RenormContext.build(float_spec) is not RenormContext.build(builtin_interval(Fraction(1, 2)))
     assert not RenormContext.build(float_spec).r.exact
+
+
+def weight_variants(spec):
+    """spec with its exact weights, with float weights, and with exact alpha and float beta."""
+    beta = tuple(map(float, spec.beta))
+    return spec, replace(spec, alpha=tuple(map(float, spec.alpha)), beta=beta), replace(spec, beta=beta)
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_weight_tables_match_the_kernel(name):
+    for spec in weight_variants(STRUCTURES[name]):
+        alpha, beta, N = spec.alpha, spec.beta, spec.N
+        for n in range(5):
+            lat = build_level(spec, n)
+            for (w, den), (want, want_den) in (
+                (lat.energy_weights, cell_weights((alpha[0],) * N, alpha, n)),
+                (lat.measure_weights, cell_weights(beta, (beta[0],) * N, n)),
+            ):
+                assert w.dtype == want.dtype and den == want_den
+                assert w.tolist() == want.tolist()
+                assert [type(v) for v in w.tolist()] == [type(v) for v in want.tolist()]
+                assert not w.flags.writeable
+
+
+def test_level_matrix_computes_the_weight_table_once(monkeypatch):
+    spec = STRUCTURES["gasket"]
+    ctx = RenormContext(spec=spec, level1=build_level(spec, 1))  # fresh: no table yet
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cell_weights(*args)
+
+    monkeypatch.setattr(structure, "cell_weights", counted)
+    Q = np.arange(9.0).reshape(3, 3) + 1j
+    for _ in range(100):
+        level_matrix(ctx, Q + Q.T)
+    assert len(calls) == 1
+
+
+def test_level_matrix_refuses_a_lattice_of_another_structure():
+    ctx = RenormContext.build(builtin_interval(Fraction(1, 2)))
+    for other in (builtin_interval(Fraction(1, 3)), builtin_interval(0.5)):  # 0.5 == 1/2, other type
+        with pytest.raises(DimensionError):
+            level_matrix(ctx, np.eye(2), build_level(other, 2))
 
 
 # -- random valid structures -------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from fraclat import grassmann as gr
 from fraclat.grassmann import GrassmannElement
-from fraclat.operator import cell_weights, laplacian_base
+from fraclat.operator import laplacian_base
 from fraclat.renorm import (
     ZERO_NORM_FLOOR,
     RenormContext,
@@ -25,7 +25,7 @@ from fraclat.renorm import (
     r_map,
     rho_n_vanishing_order,
 )
-from fraclat.structure import builtin_interval
+from fraclat.structure import builtin_interval, cell_weights
 from test_weighted_and_permuted import STRUCTURES
 
 
