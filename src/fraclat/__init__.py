@@ -25,8 +25,10 @@ from .spectral import (
     argument_principle_count,
     counting_measure,
     dominates,
+    nd_nullities,
     nd_nullity,
     nd_spectrum,
+    spectra,
     spectrum,
     sup_cdf_distance,
 )

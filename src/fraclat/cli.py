@@ -26,8 +26,9 @@ from .renorm import RenormContext, green_of_phi_batch, mu_nd_estimate
 from .spectral import (
     SizeCeilingError,
     counting_measure,
-    nd_nullity,
+    nd_nullities,
     nd_spectrum,
+    spectra,
     spectrum,
 )
 from .structure import (
@@ -212,8 +213,7 @@ def cmd_spectrum(args) -> int:
     payload = {"command": "spectrum", "structure": spec.to_dict(), "level": args.level,
                "merge_tol": args.merge_tol}
     write = _writer(args, payload)
-    for bc in ("neumann", "dirichlet"):
-        eig = spectrum(op, bc)
+    for bc, eig in zip(("neumann", "dirichlet"), spectra(op)):
         meas = counting_measure(eig, args.merge_tol)
         write(
             f"{spec.name}_n{args.level}_{bc}.csv",
@@ -237,7 +237,8 @@ def cmd_nd(args) -> int:
         [(loc, m) for loc, m in nd.atoms],
         extra_meta=f", tol: {args.tol}, merge_tol: {args.merge_tol}",
     )
-    rows = [(loc, nd_nullity(op, float(loc), args.tol)) for loc, _ in nd.atoms]
+    locs = [loc for loc, _ in nd.atoms]
+    rows = list(zip(locs, nd_nullities(op, locs, args.tol)))
     write(
         f"{spec.name}_n{args.level}_rho.csv",
         "lambda,rho_n",
@@ -254,7 +255,8 @@ def cmd_dos(args) -> int:
                "points": args.points}
     write = _writer(args, payload)
     scale_f = Fraction(1, spec.N**args.level)
-    measures = {bc: counting_measure(spectrum(op, bc)).scale(scale_f) for bc in ("neumann", "dirichlet")}
+    measures = {bc: counting_measure(eig).scale(scale_f)
+                for bc, eig in zip(("neumann", "dirichlet"), spectra(op))}
     for bc, meas in measures.items():
         # level 0 has no Dirichlet eigenvalues: its CDF is 0 on the Neumann grid
         atoms = meas.atoms or measures["neumann"].atoms
@@ -391,7 +393,9 @@ def cmd_decimation(args) -> int:
     lo = None  # Neumann and Dirichlet spectra of the previous level
     for n in range(args.n + 1):
         op = assemble(base, spec, build_level(spec, n))
-        hi = spectrum(op, "dirichlet").eigenvalues
+        last = n == args.n  # nothing reads the last level's Neumann spectrum
+        neumann, dirichlet = (None, spectrum(op, "dirichlet")) if last else spectra(op)
+        hi = dirichlet.eigenvalues
         for lam in hi:  # none at level 0, where every vertex is on the boundary
             if any(abs(lam - e) <= 1e-9 for e in dynamics.GASKET_EXCEPTIONAL):
                 continue
@@ -399,8 +403,8 @@ def cmd_decimation(args) -> int:
             err = float(np.min(np.abs(lo - image)))
             worst = max(worst, err)
             rows.append((n, lam, image, err))
-        if n < args.n:
-            lo = np.concatenate([spectrum(op, "neumann").eigenvalues, hi])
+        if not last:
+            lo = np.concatenate([neumann.eigenvalues, hi])
     write("decimation_report.csv", "level,lambda,phat_lambda,distance_to_coarse_spectrum", rows)
     ok = worst <= args.tol
     print(f"decimation containment: worst distance {worst:.3e} (tol {args.tol:.1e}) -> {'pass' if ok else 'FAIL'}")

@@ -220,22 +220,38 @@ def check_lattice(spec: StructureSpec, lat: LatticeLevel) -> None:
         raise DimensionError("lattice was built from a different structure")
 
 
-def pencil(op: LevelOperator, boundary_condition: str = "neumann"):
-    """The generalized pencil (A, b) of the Neumann problem (every vertex)
-    or of the Dirichlet problem (interior vertices only).  A is a fresh
-    array that the caller may overwrite.  Eigenvalues of the difference
-    operator are the negatives of the pencil eigenvalues.
+def scaled_pencil(op: LevelOperator, order) -> tuple[np.ndarray, np.ndarray]:
+    """The pencil (A_n, diag(b_n)) on the vertices ``order``, in symmetric
+    form: (M, b) with b = b_n[order] and M = S A_n[order][:, order] S,
+    S = diag(b)^-1/2.  The eigenvalues of M are the pencil eigenvalues, the
+    negatives of the difference operator's.  M is a fresh C-ordered array
+    that the caller may overwrite; it is scattered from ``op.a_sums``, each
+    entry rounded as (a * s_col) * s_row, so no dense A_n is formed.
     """
-    A = op.matrix_float()
-    b = op.b_float()
+    V = op.size
+    b = op.b_float()[order]
+    s = 1.0 / np.sqrt(b)
+    pos = np.full(V, -1)
+    pos[order] = np.arange(len(b))
+    row, col = np.divmod(op.a_sums[0], V)
+    row, col = pos[row], pos[col]
+    keep = (row >= 0) & (col >= 0)
+    row, col = row[keep], col[keep]
+    M = np.zeros((len(b), len(b)))
+    M[row, col] = sums_float(*op.a_sums)[keep] * s[col] * s[row]
+    return M, b
+
+
+def pencil(op: LevelOperator, boundary_condition: str = "neumann"):
+    """scaled_pencil of the Neumann problem (every vertex, in id order) or
+    of the Dirichlet problem (the interior vertices)."""
     if boundary_condition == "neumann":
-        return A.copy(), b
+        return scaled_pencil(op, np.arange(op.size))
     if boundary_condition == "dirichlet":
-        idx = op.interior
-        return A[np.ix_(idx, idx)], b[idx]
+        return scaled_pencil(op, op.interior)
     raise ValueError(f"unknown boundary condition {boundary_condition!r}")
 
 
 def h_matrices(op: LevelOperator):
-    """((A_n, b_n), (A_n, b_n) restricted to the interior): both pencils."""
+    """(Neumann, Dirichlet) pencils of ``op``, each as pencil() returns it."""
     return pencil(op, "neumann"), pencil(op, "dirichlet")

@@ -8,11 +8,14 @@ multiplicity of a Dirichlet eigenvalue lambda is the dimension of
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .operator import LevelOperator, pencil
+from .operator import LevelOperator, pencil, scaled_pencil
 
 DEFAULT_MERGE_TOL = 1e-7
 DEFAULT_NULLITY_TOL = 1e-8
@@ -147,30 +150,54 @@ class EigenDecomposition:
         return float(np.max(np.abs(R))) if R.size else 0.0
 
 
-def _pencil_eigh(M: np.ndarray, b: np.ndarray, vectors: bool):
-    """Solve M v = w b v; returns (w ascending, b-orthonormal V or None).
-
-    M is overwritten by its symmetric scaling diag(b)^-1/2 M diag(b)^-1/2.
-    Both LAPACK drivers read one triangle only, so M is not symmetrised.
-    Without vectors the tridiagonal reduction skips the back-transformation.
-    """
-    if len(b) == 0:
-        return np.zeros(0), np.zeros((0, 0)) if vectors else None
-    s = 1.0 / np.sqrt(b)
-    M *= s[None, :]
-    M *= s[:, None]
-    if not vectors:
-        return np.linalg.eigvalsh(M), None
-    w, U = np.linalg.eigh(M)
-    U *= s[:, None]
-    return w, U
+def _solver_workers() -> int:
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
 
 
-# Peak float64 V x V arrays of one dense solve, counting the operator's
-# cached A_n: the pencil copy and LAPACK's working copy without vectors;
-# with vectors also the divide-and-conquer workspace (2 V^2) and the
-# eigenvector output.  Measured as the peak-RSS rise of spectrum() at
-# V = 3282: 3.00 and 6.00.
+def _new_pool() -> None:
+    global _POOL
+    _POOL = ThreadPoolExecutor(_solver_workers(), thread_name_prefix="fraclat-solver")
+
+
+# The solver pool: spectra() and nd_nullities() run their LAPACK calls on it
+# while the calling thread waits; numpy releases the GIL inside LAPACK, so
+# two calls overlap.  Tasks run numpy code only, on arrays the calling
+# thread prepared.  A forked child gets a fresh pool: the parent's threads
+# do not exist there.
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def _gather(calls: list) -> list:
+    """Results of the zero-argument ``calls``, run on the solver pool, in
+    order.  Returns, or raises the first failure, once every call has
+    finished."""
+    futures = [_POOL.submit(call) for call in calls]
+    wait(futures)
+    return [f.result() for f in futures]
+
+
+def _decomposition(w: np.ndarray, U: np.ndarray | None, b: np.ndarray) -> EigenDecomposition:
+    """Operator convention from ascending pencil eigenvalues: negated and
+    clipped to <= 0, since the Neumann zero mode may round to either sign
+    and a positive value would drop it from the repartition function on
+    [lam, 0]."""
+    return EigenDecomposition(eigenvalues=np.minimum(-w, 0.0) + 0.0, eigenvectors=U, b=b)
+
+
+# Peak float64 V x V arrays of a dense solve: the peak-RSS rise over
+# 8 V^2 bytes at V = 3282 (gasket level 7).  Without vectors, spectra()
+# holds its shared pencil and LAPACK's copies of the Neumann and Dirichlet
+# blocks (3.03); one spectrum() call holds one copy fewer (2.03).  With
+# vectors, the pencil, LAPACK's copy, the divide-and-conquer workspace
+# (2 V^2) and the eigenvectors (5.03); nd then adds the cached A_n and,
+# per rho-table SVD on the pool, a stacked system and LAPACK's copy of it
+# (nd_spectrum plus nd_nullities: 5.07, so 6 leaves one V^2 of margin).
 SOLVE_ARRAYS = {False: 3, True: 6}
 
 
@@ -204,27 +231,53 @@ def spectrum(
     op: LevelOperator, boundary_condition: str = "neumann", vectors: bool = False
 ) -> EigenDecomposition:
     """Dense spectrum of H^+ (neumann) or H^- (dirichlet); eigenvectors
-    only with ``vectors=True``.
-
-    Eigenvalues are clipped to <= 0: the Neumann zero mode may round to
-    either sign, and a positive value would drop it from the repartition
-    function on [lam, 0].
+    only with ``vectors=True``.  Eigenvalues are <= 0 and descending.
+    Without vectors the tridiagonal reduction skips the back-transformation.
     """
     _check_dense_size(op.size, vectors)
     M, b = pencil(op, boundary_condition)
-    w, V = _pencil_eigh(M, b, vectors)
-    return EigenDecomposition(eigenvalues=np.minimum(-w, 0.0) + 0.0, eigenvectors=V, b=b)
+    if not vectors:
+        return _decomposition(np.linalg.eigvalsh(M), None, b)
+    w, U = np.linalg.eigh(M)
+    U *= (1.0 / np.sqrt(b))[:, None]
+    return _decomposition(w, U, b)
+
+
+def spectra(op: LevelOperator) -> tuple[EigenDecomposition, EigenDecomposition]:
+    """The Neumann and Dirichlet spectra of one level, eigenvalues only.
+
+    One pencil is built, with the interior vertices first, and the
+    Dirichlet pencil is its leading block, a view.  The two eigvalsh calls
+    run concurrently on the solver pool.  The Dirichlet eigenvalues equal
+    spectrum(op, "dirichlet")'s bit for bit; the Neumann ones agree with
+    spectrum(op, "neumann") to rounding, since LAPACK sees the rows in
+    another order.
+    """
+    _check_dense_size(op.size, False)
+    interior = op.interior
+    M, b = scaled_pencil(op, np.concatenate([interior, op.boundary]))
+    k = len(interior)
+    w_n, w_d = _gather([partial(np.linalg.eigvalsh, M), partial(np.linalg.eigvalsh, M[:k, :k])])
+    return _decomposition(w_n, None, op.b_float()), _decomposition(w_d, None, b[:k])
 
 
 # -- Neumann-Dirichlet detection ----------------------------------------------
 
 
-def _stacked_system(op: LevelOperator, lam: float) -> np.ndarray:
-    """(A + lam diag(b))[:, interior], built without a V x V temporary."""
-    idx = op.interior
-    S = op.matrix_float()[:, idx]
-    S[idx, np.arange(len(idx))] += lam * op.b_float()[idx]
+def _stacked_system(A: np.ndarray, b: np.ndarray, idx: np.ndarray, lam: float) -> np.ndarray:
+    """(A + lam diag(b))[:, idx], built without a V x V temporary."""
+    S = A[:, idx]
+    S[idx, np.arange(len(idx))] += lam * b[idx]
     return S
+
+
+def _nullity(A: np.ndarray, b: np.ndarray, idx: np.ndarray, tol: float, lam: float) -> int:
+    """nd_nullity's kernel on the dense A_n, b_n and the interior ids."""
+    if not len(idx):
+        return 0
+    sv = np.linalg.svd(_stacked_system(A, b, idx, lam), compute_uv=False)
+    smax = sv[0] if sv[0] > 0 else 1.0
+    return int(np.sum(sv < tol * smax))
 
 
 def nd_nullity(op: LevelOperator, lam: float, tol: float = DEFAULT_NULLITY_TOL) -> int:
@@ -233,12 +286,14 @@ def nd_nullity(op: LevelOperator, lam: float, tol: float = DEFAULT_NULLITY_TOL) 
     The stacked system restricts (A + lam diag(b)) to interior columns,
     which is the matrix form of appending boundary-indicator rows.
     """
-    if not len(op.interior):
-        return 0
-    S = _stacked_system(op, lam)
-    sv = np.linalg.svd(S, compute_uv=False)
-    smax = sv[0] if sv[0] > 0 else 1.0
-    return int(np.sum(sv < tol * smax))
+    return _nullity(op.matrix_float(), op.b_float(), op.interior, tol, lam)
+
+
+def nd_nullities(op: LevelOperator, lams, tol: float = DEFAULT_NULLITY_TOL) -> list[int]:
+    """nd_nullity at every lam of ``lams``, the SVDs running on the solver
+    pool; each task builds its own stacked system."""
+    A, b, idx = op.matrix_float(), op.b_float(), op.interior
+    return _gather([partial(_nullity, A, b, idx, tol, float(lam)) for lam in lams])
 
 
 def nd_spectrum(

@@ -188,7 +188,7 @@ def test_stacked_system_bitwise_equals_dense_form(which, gasket_levels, interval
     idx = np.array(op.interior, dtype=int)
     lams = [float(loc) for loc, _ in nd_spectrum(op).atoms] + [-0.123456, -2.5, 0.0, 1.75]
     for lam in lams:
-        assert np.array_equal(_stacked_system(op, lam), (A + lam * np.diag(b))[:, idx])
+        assert np.array_equal(_stacked_system(A, b, idx, lam), (A + lam * np.diag(b))[:, idx])
 
 
 def test_nd_spectrum_solves_again_for_vectorless_dirichlet(gasket_levels):
