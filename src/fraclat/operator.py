@@ -243,15 +243,22 @@ def scaled_pencil(op: LevelOperator, order) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pencil(op: LevelOperator, boundary_condition: str = "neumann"):
-    """scaled_pencil of the Neumann problem (every vertex, in id order) or
-    of the Dirichlet problem (the interior vertices)."""
+    """The generalized pencil (A, b) of the Neumann problem (every vertex)
+    or of the Dirichlet problem (interior vertices only).  A is a fresh
+    array that the caller may overwrite.  Eigenvalues of the difference
+    operator are the negatives of the pencil eigenvalues.  The solvers use
+    the symmetric form of the same pencil, ``scaled_pencil``.
+    """
+    A = op.matrix_float()
+    b = op.b_float()
     if boundary_condition == "neumann":
-        return scaled_pencil(op, np.arange(op.size))
+        return A.copy(), b
     if boundary_condition == "dirichlet":
-        return scaled_pencil(op, op.interior)
+        idx = op.interior
+        return A[np.ix_(idx, idx)], b[idx]
     raise ValueError(f"unknown boundary condition {boundary_condition!r}")
 
 
 def h_matrices(op: LevelOperator):
-    """(Neumann, Dirichlet) pencils of ``op``, each as pencil() returns it."""
+    """((A_n, b_n), (A_n, b_n) restricted to the interior): both pencils."""
     return pencil(op, "neumann"), pencil(op, "dirichlet")

@@ -8,14 +8,16 @@ multiplicity of a Dirichlet eigenvalue lambda is the dimension of
 
 from __future__ import annotations
 
+import ctypes
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
-from .operator import LevelOperator, pencil, scaled_pencil
+from .operator import LevelOperator, scaled_pencil
 
 DEFAULT_MERGE_TOL = 1e-7
 DEFAULT_NULLITY_TOL = 1e-8
@@ -150,7 +152,34 @@ class EigenDecomposition:
         return float(np.max(np.abs(R))) if R.size else 0.0
 
 
+@cache
+def _blas_threads_query():
+    """OpenBLAS's thread-count call in the loaded library, or None where
+    no OpenBLAS is mapped into the process or /proc/self/maps is absent."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn
+    return None
+
+
 def _solver_workers() -> int:
+    """Two workers when two solves fit the cores side by side: BLAS runs
+    one thread per call and the process may use two CPUs or more.  One
+    otherwise: a multi-threaded BLAS already spreads one solve over the
+    cores, and a BLAS whose thread count cannot be read is taken to."""
+    query = _blas_threads_query()
+    if query is None or query() != 1:
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -158,36 +187,39 @@ def _solver_workers() -> int:
     return min(2, cpus)
 
 
-def _new_pool() -> None:
-    global _POOL
-    _POOL = ThreadPoolExecutor(_solver_workers(), thread_name_prefix="fraclat-solver")
+@contextmanager
+def _started(op: LevelOperator, tasks: dict):
+    """Run the zero-argument ``tasks`` on a solver pool while the block
+    runs; inside it, ``_take(op, key)`` waits for the result of
+    ``tasks[key]``.  numpy releases the GIL inside LAPACK, so two solves
+    overlap.  Tasks run numpy code only, on arrays the calling thread
+    prepared.  Leaving the block waits for every task."""
+    with ThreadPoolExecutor(_solver_workers(), thread_name_prefix="fraclat-solver") as pool:
+        op._cache["started"] = {key: pool.submit(task) for key, task in tasks.items()}
+        try:
+            yield
+        finally:
+            del op._cache["started"]
 
 
-# The solver pool: spectra() and nd_nullities() run their LAPACK calls on it
-# while the calling thread waits; numpy releases the GIL inside LAPACK, so
-# two calls overlap.  Tasks run numpy code only, on arrays the calling
-# thread prepared.  A forked child gets a fresh pool: the parent's threads
-# do not exist there.
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
-
-
-def _gather(calls: list) -> list:
-    """Results of the zero-argument ``calls``, run on the solver pool, in
-    order.  Returns, or raises the first failure, once every call has
-    finished."""
-    futures = [_POOL.submit(call) for call in calls]
-    wait(futures)
-    return [f.result() for f in futures]
+def _take(op: LevelOperator, key):
+    """The result of the task ``_started`` runs under ``key``, raising what
+    it raised; None where no such task was started.  Each result is taken
+    once."""
+    future = op._cache.get("started", {}).pop(key, None)
+    return None if future is None else future.result()
 
 
 def _decomposition(w: np.ndarray, U: np.ndarray | None, b: np.ndarray) -> EigenDecomposition:
-    """Operator convention from ascending pencil eigenvalues: negated and
-    clipped to <= 0, since the Neumann zero mode may round to either sign
-    and a positive value would drop it from the repartition function on
-    [lam, 0]."""
-    return EigenDecomposition(eigenvalues=np.minimum(-w, 0.0) + 0.0, eigenvectors=U, b=b)
+    """Operator convention from ascending pencil eigenvalues: negated, with
+    every value within rounding of zero (|w| <= len(w) eps max|w|, the
+    rank tolerance of numpy's matrix_rank) set to 0 and the rest clipped to
+    <= 0.  The Neumann zero mode rounds to either sign; reported as 0 it
+    keeps its mass in the repartition function on [0, 0]."""
+    lam = -w
+    if len(w):
+        lam[np.abs(w) <= len(w) * np.finfo(float).eps * np.abs(w).max()] = 0.0
+    return EigenDecomposition(eigenvalues=np.minimum(lam, 0.0) + 0.0, eigenvectors=U, b=b)
 
 
 # Peak float64 V x V arrays of a dense solve: the peak-RSS rise over
@@ -233,9 +265,19 @@ def spectrum(
     """Dense spectrum of H^+ (neumann) or H^- (dirichlet); eigenvectors
     only with ``vectors=True``.  Eigenvalues are <= 0 and descending.
     Without vectors the tridiagonal reduction skips the back-transformation.
+    Inside spectra() it returns the solve spectra() started.
     """
+    if boundary_condition == "neumann":
+        order = np.arange(op.size)
+    elif boundary_condition == "dirichlet":
+        order = op.interior
+    else:
+        raise ValueError(f"unknown boundary condition {boundary_condition!r}")
+    w = None if vectors else _take(op, boundary_condition)
+    if w is not None:
+        return _decomposition(w, None, op.b_float()[order])
     _check_dense_size(op.size, vectors)
-    M, b = pencil(op, boundary_condition)
+    M, b = scaled_pencil(op, order)
     if not vectors:
         return _decomposition(np.linalg.eigvalsh(M), None, b)
     w, U = np.linalg.eigh(M)
@@ -248,17 +290,20 @@ def spectra(op: LevelOperator) -> tuple[EigenDecomposition, EigenDecomposition]:
 
     One pencil is built, with the interior vertices first, and the
     Dirichlet pencil is its leading block, a view.  The two eigvalsh calls
-    run concurrently on the solver pool.  The Dirichlet eigenvalues equal
-    spectrum(op, "dirichlet")'s bit for bit; the Neumann ones agree with
-    spectrum(op, "neumann") to rounding, since LAPACK sees the rows in
-    another order.
+    run concurrently on a solver pool, and each result is returned through
+    spectrum(), so a profile of spectrum() sees every level spectrum.  The
+    Dirichlet eigenvalues equal spectrum(op, "dirichlet")'s bit for bit;
+    the Neumann ones agree with spectrum(op, "neumann") to rounding, since
+    LAPACK sees the rows in another order.
     """
     _check_dense_size(op.size, False)
     interior = op.interior
-    M, b = scaled_pencil(op, np.concatenate([interior, op.boundary]))
+    M, _ = scaled_pencil(op, np.concatenate([interior, op.boundary]))
     k = len(interior)
-    w_n, w_d = _gather([partial(np.linalg.eigvalsh, M), partial(np.linalg.eigvalsh, M[:k, :k])])
-    return _decomposition(w_n, None, op.b_float()), _decomposition(w_d, None, b[:k])
+    solves = {"neumann": partial(np.linalg.eigvalsh, M),
+              "dirichlet": partial(np.linalg.eigvalsh, M[:k, :k])}
+    with _started(op, solves):
+        return spectrum(op, "neumann"), spectrum(op, "dirichlet")
 
 
 # -- Neumann-Dirichlet detection ----------------------------------------------
@@ -286,14 +331,20 @@ def nd_nullity(op: LevelOperator, lam: float, tol: float = DEFAULT_NULLITY_TOL) 
     The stacked system restricts (A + lam diag(b)) to interior columns,
     which is the matrix form of appending boundary-indicator rows.
     """
+    started = _take(op, (float(lam), tol))
+    if started is not None:
+        return started
     return _nullity(op.matrix_float(), op.b_float(), op.interior, tol, lam)
 
 
 def nd_nullities(op: LevelOperator, lams, tol: float = DEFAULT_NULLITY_TOL) -> list[int]:
-    """nd_nullity at every lam of ``lams``, the SVDs running on the solver
-    pool; each task builds its own stacked system."""
+    """nd_nullity at every lam of ``lams``.  The SVDs run on a solver pool,
+    each task building its own stacked system, and each result is returned
+    through nd_nullity()."""
     A, b, idx = op.matrix_float(), op.b_float(), op.interior
-    return _gather([partial(_nullity, A, b, idx, tol, float(lam)) for lam in lams])
+    lams = [float(lam) for lam in lams]
+    with _started(op, {(lam, tol): partial(_nullity, A, b, idx, tol, lam) for lam in lams}):
+        return [nd_nullity(op, lam, tol) for lam in lams]
 
 
 def nd_spectrum(

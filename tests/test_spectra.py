@@ -2,10 +2,6 @@
 two spectrum() calls, the pool's failure paths, and the rho-table kernel
 against nd_nullity."""
 
-import os
-import signal
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -51,14 +47,44 @@ def test_spectra_matches_two_spectrum_calls(name):
 def test_one_worker_pool_gives_the_same_bits(monkeypatch):
     ops = [_op("gasket", 4), _op("star", 4), _op("interval:1/3", 6)]
     lams = [-3.0, -5.0, -0.123456]
-    want = [(spectra(op), nd_nullities(op, lams)) for op in ops]
-    with ThreadPoolExecutor(1) as pool:
-        monkeypatch.setattr(spectral, "_POOL", pool)
-        got = [(spectra(op), nd_nullities(op, lams)) for op in ops]
-    for ((n1, d1), r1), ((n2, d2), r2) in zip(want, got):
+    results = []
+    for workers in (2, 1):
+        monkeypatch.setattr(spectral, "_solver_workers", lambda: workers)
+        results.append([(spectra(op), nd_nullities(op, lams)) for op in ops])
+    for ((n1, d1), r1), ((n2, d2), r2) in zip(*results):
         assert np.array_equal(n1.eigenvalues, n2.eigenvalues)
         assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
         assert r1 == r2
+
+
+def test_pool_results_return_through_the_public_solvers(monkeypatch):
+    seen = []
+
+    def recording(fn):
+        def wrapper(op, *args):
+            seen.append((fn.__name__, args))
+            return fn(op, *args)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "spectrum", recording(spectrum))
+    monkeypatch.setattr(spectral, "nd_nullity", recording(nd_nullity))
+    op = _op("gasket", 3)
+    neumann, dirichlet = spectra(op)
+    assert nd_nullities(op, [-3.0, -5.0], 1e-8) == [nd_nullity(op, -3.0), nd_nullity(op, -5.0)]
+    assert seen == [("spectrum", ("neumann",)), ("spectrum", ("dirichlet",)),
+                    ("nd_nullity", (-3.0, 1e-8)), ("nd_nullity", (-5.0, 1e-8))]
+    assert "started" not in op._cache
+    # a later call solves afresh
+    assert np.array_equal(spectrum(op, "dirichlet").eigenvalues, dirichlet.eigenvalues)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_dos_counts_the_neumann_zero_mode_at_zero(tmp_path, n):
+    assert run(["dos", "--builtin", "gasket", "--level", str(n), "--out", str(tmp_path)]) == EXIT_OK
+    last = (tmp_path / f"gasket_n{n}_dos_neumann.csv").read_text().splitlines()[-1]
+    assert last.split(",") == ["0", repr(1 / 3**n)]  # the zero mode is the mass on [0, 0]
+    neumann, _ = spectra(_op("gasket", n))
+    assert neumann.eigenvalues[0] == 0.0 and not np.signbit(neumann.eigenvalues[0])
 
 
 def test_worker_linalg_error_reaches_the_caller(tmp_path, monkeypatch, capsys):
@@ -71,6 +97,7 @@ def test_worker_linalg_error_reaches_the_caller(tmp_path, monkeypatch, capsys):
         return np.zeros(a.shape[0])
 
     monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    monkeypatch.setattr(spectral, "_solver_workers", lambda: 2)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         spectra(_op("gasket", 3))
     assert sorted(sizes) == [39, 42]  # the other solve ran to the end
@@ -105,17 +132,3 @@ def test_decimation_skips_the_last_neumann_solve(tmp_path, monkeypatch):
     assert run(["decimation", "--n", "3", "--out", str(tmp_path)]) == EXIT_OK
     # gasket levels 0-3 have 3, 6, 15 and 42 vertices, 3 of them on the boundary
     assert sorted(sizes) == [0, 3, 3, 6, 12, 15, 39]
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_forked_child_gets_a_working_pool():
-    op = _op("gasket", 2)
-    want = spectra(op)[0].eigenvalues
-    spectra(_op("gasket", 5))  # two overlapping solves: every worker started and now idle
-    pid = os.fork()
-    if pid == 0:
-        signal.alarm(20)  # a child waiting on the parent's workers, absent here, dies
-        ok = np.array_equal(spectra(op)[0].eigenvalues, want)
-        os._exit(0 if ok else 1)
-    _, status = os.waitpid(pid, 0)
-    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
