@@ -2,6 +2,9 @@
 two spectrum() calls, the pool's failure paths, and the rho-table kernel
 against nd_nullity."""
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -132,3 +135,17 @@ def test_decimation_skips_the_last_neumann_solve(tmp_path, monkeypatch):
     assert run(["decimation", "--n", "3", "--out", str(tmp_path)]) == EXIT_OK
     # gasket levels 0-3 have 3, 6, 15 and 42 vertices, 3 of them on the boundary
     assert sorted(sizes) == [0, 3, 3, 6, 12, 15, 39]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_gets_a_working_pool():
+    op = _op("gasket", 2)
+    want = spectra(op)[0].eigenvalues
+    spectra(_op("gasket", 5))  # two overlapping solves: every worker started and now idle
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(20)  # a child waiting on the parent's workers, absent here, dies
+        ok = np.array_equal(spectra(op)[0].eigenvalues, want)
+        os._exit(0 if ok else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
