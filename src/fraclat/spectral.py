@@ -177,7 +177,8 @@ def _solver_workers() -> int:
     """Two workers when two solves fit the cores side by side: BLAS runs
     one thread per call and the process may use two CPUs or more.  One
     otherwise: a multi-threaded BLAS already spreads one solve over the
-    cores, and a BLAS whose thread count cannot be read is taken to."""
+    cores, and a BLAS whose thread count cannot be read is treated as
+    multi-threaded."""
     query = _blas_threads_query()
     if query is None or query() != 1:
         return 1
