@@ -4,7 +4,7 @@ the trace and Grassmann renormalization maps, Green-function estimation
 and exact degree/dichotomy bookkeeping."""
 
 from .grassmann import GrassmannElement, exp_q, gr_mul, interior_product, nd_order, norm, restrict
-from .operator import BaseOperator, LevelOperator, assemble, h_matrices, laplacian_base
+from .operator import BaseOperator, LevelOperator, assemble, laplacian_base
 from .renorm import (
     GreenEstimate,
     RenormContext,

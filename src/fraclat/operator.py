@@ -241,24 +241,3 @@ def scaled_pencil(op: LevelOperator, order) -> tuple[np.ndarray, np.ndarray]:
     M[row, col] = sums_float(*op.a_sums)[keep] * s[col] * s[row]
     return M, b
 
-
-def pencil(op: LevelOperator, boundary_condition: str = "neumann"):
-    """The generalized pencil (A, b) of the Neumann problem (every vertex)
-    or of the Dirichlet problem (interior vertices only).  A is a fresh
-    array that the caller may overwrite.  Eigenvalues of the difference
-    operator are the negatives of the pencil eigenvalues.  The solvers use
-    the symmetric form of the same pencil, ``scaled_pencil``.
-    """
-    A = op.matrix_float()
-    b = op.b_float()
-    if boundary_condition == "neumann":
-        return A.copy(), b
-    if boundary_condition == "dirichlet":
-        idx = op.interior
-        return A[np.ix_(idx, idx)], b[idx]
-    raise ValueError(f"unknown boundary condition {boundary_condition!r}")
-
-
-def h_matrices(op: LevelOperator):
-    """((A_n, b_n), (A_n, b_n) restricted to the interior): both pencils."""
-    return pencil(op, "neumann"), pencil(op, "dirichlet")

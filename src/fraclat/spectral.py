@@ -11,7 +11,6 @@ from __future__ import annotations
 import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -196,40 +195,25 @@ def _pool() -> ThreadPoolExecutor:
     """The solver pool of this process at the current worker count.  It is
     kept across calls: a pool started per call added 0.2 ms to a spectra()
     call at V = 42 and 0.5 ms at V = 366.  The key holds the process id,
-    since a forked child has none of its parent's worker threads."""
+    since a forked child has none of its parent's worker threads.  Two
+    threads that both miss insert through setdefault and share one pool;
+    the other executor never started a thread."""
     key = (os.getpid(), _solver_workers())
-    if key not in _POOLS:
-        _POOLS[key] = ThreadPoolExecutor(key[1], thread_name_prefix="fraclat-solver")
-    return _POOLS[key]
+    pool = _POOLS.get(key)
+    if pool is None:
+        pool = _POOLS.setdefault(key, ThreadPoolExecutor(key[1], thread_name_prefix="fraclat-solver"))
+    return pool
 
 
-@contextmanager
-def _started(op: LevelOperator, tasks: dict):
-    """Run the zero-argument ``tasks`` on the solver pool while the block
-    runs; inside it, ``_take(op, key)`` waits for the result of
-    ``tasks[key]``.  numpy releases the GIL inside LAPACK, so two solves
-    overlap.  Tasks run numpy code only, on arrays the calling thread
-    prepared.  Leaving the block waits for every task."""
+def _gather(tasks) -> list:
+    """The results of the zero-argument ``tasks``, run on the solver pool.
+    numpy releases the GIL inside LAPACK, so two solves overlap.  Tasks run
+    numpy code only, on arrays the calling thread prepared.  Every task
+    finishes before a result is returned or an error raised."""
     pool = _pool()
-    futures = op._cache["started"] = {key: pool.submit(task) for key, task in tasks.items()}
-    pending = list(futures.values())
-    try:
-        yield
-    finally:
-        del op._cache["started"]
-        wait(pending)
-
-
-def _take(op: LevelOperator, key):
-    """The result of the task ``_started`` runs under ``key``, raising what
-    it raised; None where no such task was started.  Each result is taken
-    once.  The first take waits for every started task: one wake-up of the
-    calling thread per batch, 60 us less per spectra() call at V = 42."""
-    futures = op._cache.get("started", {})
-    if key not in futures:
-        return None
-    wait(futures.values())
-    return futures.pop(key).result()
+    futures = [pool.submit(task) for task in tasks]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def _decomposition(w: np.ndarray, U: np.ndarray | None, b: np.ndarray) -> EigenDecomposition:
@@ -287,7 +271,6 @@ def spectrum(
     """Dense spectrum of H^+ (neumann) or H^- (dirichlet); eigenvectors
     only with ``vectors=True``.  Eigenvalues are <= 0 and descending.
     Without vectors the tridiagonal reduction skips the back-transformation.
-    Inside spectra() it returns the solve spectra() started.
     """
     if boundary_condition == "neumann":
         order = np.arange(op.size)
@@ -295,9 +278,6 @@ def spectrum(
         order = op.interior
     else:
         raise ValueError(f"unknown boundary condition {boundary_condition!r}")
-    w = None if vectors else _take(op, boundary_condition)
-    if w is not None:
-        return _decomposition(w, None, op.b_float()[order])
     _check_dense_size(op.size, vectors)
     M, b = scaled_pencil(op, order)
     if not vectors:
@@ -312,20 +292,19 @@ def spectra(op: LevelOperator) -> tuple[EigenDecomposition, EigenDecomposition]:
 
     One pencil is built, with the interior vertices first, and the
     Dirichlet pencil is its leading block, a view.  The two eigvalsh calls
-    run concurrently on a solver pool, and each result is returned through
-    spectrum(), so a profile of spectrum() sees every level spectrum.  The
-    Dirichlet eigenvalues equal spectrum(op, "dirichlet")'s bit for bit;
-    the Neumann ones agree with spectrum(op, "neumann") to rounding, since
-    LAPACK sees the rows in another order.
+    run concurrently on the solver pool; both have finished when spectra()
+    returns or raises.  The Dirichlet eigenvalues equal
+    spectrum(op, "dirichlet")'s bit for bit; the Neumann ones agree with
+    spectrum(op, "neumann") to rounding, since LAPACK sees the rows in
+    another order.
     """
     _check_dense_size(op.size, False)
     interior = op.interior
     M, _ = scaled_pencil(op, np.concatenate([interior, op.boundary]))
     k = len(interior)
-    solves = {"neumann": partial(np.linalg.eigvalsh, M),
-              "dirichlet": partial(np.linalg.eigvalsh, M[:k, :k])}
-    with _started(op, solves):
-        return spectrum(op, "neumann"), spectrum(op, "dirichlet")
+    w_n, w_d = _gather([partial(np.linalg.eigvalsh, M), partial(np.linalg.eigvalsh, M[:k, :k])])
+    b = op.b_float()
+    return _decomposition(w_n, None, b), _decomposition(w_d, None, b[interior])
 
 
 # -- Neumann-Dirichlet detection ----------------------------------------------
@@ -353,20 +332,15 @@ def nd_nullity(op: LevelOperator, lam: float, tol: float = DEFAULT_NULLITY_TOL) 
     The stacked system restricts (A + lam diag(b)) to interior columns,
     which is the matrix form of appending boundary-indicator rows.
     """
-    started = _take(op, (float(lam), tol))
-    if started is not None:
-        return started
     return _nullity(op.matrix_float(), op.b_float(), op.interior, tol, lam)
 
 
 def nd_nullities(op: LevelOperator, lams, tol: float = DEFAULT_NULLITY_TOL) -> list[int]:
-    """nd_nullity at every lam of ``lams``.  The SVDs run on a solver pool,
-    each task building its own stacked system, and each result is returned
-    through nd_nullity()."""
+    """nd_nullity at every lam of ``lams``.  The SVDs run on the solver
+    pool, each task building its own stacked system; all have finished
+    when nd_nullities() returns or raises."""
     A, b, idx = op.matrix_float(), op.b_float(), op.interior
-    lams = [float(lam) for lam in lams]
-    with _started(op, {(lam, tol): partial(_nullity, A, b, idx, tol, lam) for lam in lams}):
-        return [nd_nullity(op, lam, tol) for lam in lams]
+    return _gather([partial(_nullity, A, b, idx, tol, float(lam)) for lam in lams])
 
 
 def nd_spectrum(

@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fraclat.operator import BaseOperator, DimensionError, assemble, h_matrices, laplacian_base
+from fraclat.operator import BaseOperator, DimensionError, assemble, laplacian_base, scaled_pencil
 from fraclat.structure import build_level, builtin_interval
+from test_weighted_and_permuted import STRUCTURES
 
 
 def test_gasket_level1_values(gasket_levels):
@@ -80,11 +81,21 @@ def test_rowsums_zero_and_kernel_constant(gasket_levels):
         assert np.sum(np.abs(w) < 1e-9) == 1  # constants only
 
 
-def test_h_matrices_split(gasket_levels):
-    op = gasket_levels.op(1)
-    (An, bn), (Ad, bd) = h_matrices(op)
-    assert An.shape == (6, 6) and Ad.shape == (3, 3)
-    assert len(bd) == 3
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_scaled_pencil_is_the_symmetric_pencil(name):
+    spec = STRUCTURES[name]
+    base = laplacian_base(spec)
+    for n in range(4):
+        op = assemble(base, spec, build_level(spec, n))
+        A, b = op.matrix_float(), op.b_float()
+        natural = np.arange(op.size)
+        for order in (natural, op.interior, np.concatenate([op.interior, op.boundary])):
+            M, b_order = scaled_pencil(op, order)
+            k = len(order)
+            assert M.shape == (k, k) and b_order.shape == (k,)
+            assert np.array_equal(b_order, b[order])
+            S = np.diag(b[order] ** -0.5)
+            assert np.allclose(M, S @ A[order][:, order] @ S, rtol=1e-15, atol=0.0)
 
 
 def test_uniform_bound_propagates(gasket_levels, interval_levels):

@@ -1,9 +1,12 @@
 """spectra() and the solver pool: the paired Neumann/Dirichlet solve against
-two spectrum() calls, the pool's failure paths, and the rho-table kernel
-against nd_nullity."""
+two spectrum() calls, threads sharing one operator, the pool's failure
+paths, and the rho-table kernel against nd_nullity."""
 
 import os
 import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -60,25 +63,40 @@ def test_one_worker_pool_gives_the_same_bits(monkeypatch):
         assert r1 == r2
 
 
-def test_pool_results_return_through_the_public_solvers(monkeypatch):
-    seen = []
+@pytest.mark.parametrize("workers", [1, 2])
+def test_threads_share_one_operator(monkeypatch, workers):
+    monkeypatch.setattr(spectral, "_solver_workers", lambda: workers)
+    op = _op("gasket", 4)
+    lams = [-3.0, -5.0, -0.123456]
+    (want_n, want_d), want_r = spectra(op), nd_nullities(op, lams)
+    results, errors = [], []
 
-    def recording(fn):
-        def wrapper(op, *args):
-            seen.append((fn.__name__, args))
-            return fn(op, *args)
-        return wrapper
+    def calls():
+        try:
+            for _ in range(10):
+                results.append((spectra(op), nd_nullities(op, lams)))
+        except Exception as exc:
+            errors.append(exc)
 
-    monkeypatch.setattr(spectral, "spectrum", recording(spectrum))
-    monkeypatch.setattr(spectral, "nd_nullity", recording(nd_nullity))
-    op = _op("gasket", 3)
-    neumann, dirichlet = spectra(op)
-    assert nd_nullities(op, [-3.0, -5.0], 1e-8) == [nd_nullity(op, -3.0), nd_nullity(op, -5.0)]
-    assert seen == [("spectrum", ("neumann",)), ("spectrum", ("dirichlet",)),
-                    ("nd_nullity", (-3.0, 1e-8)), ("nd_nullity", (-5.0, 1e-8))]
-    assert "started" not in op._cache
+    threads = [threading.Thread(target=calls) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter between threads often
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(results) == 20
+    for (neumann, dirichlet), r in results:
+        assert np.array_equal(neumann.eigenvalues, want_n.eigenvalues)
+        assert np.array_equal(dirichlet.eigenvalues, want_d.eigenvalues)
+        assert r == want_r
+    assert set(op._cache) <= {"A", "b"}  # no solver state left on the shared operator
     # a later call solves afresh
-    assert np.array_equal(spectrum(op, "dirichlet").eigenvalues, dirichlet.eigenvalues)
+    assert np.array_equal(spectrum(op, "dirichlet").eigenvalues, want_d.eigenvalues)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -91,22 +109,45 @@ def test_dos_counts_the_neumann_zero_mode_at_zero(tmp_path, n):
 
 
 def test_worker_linalg_error_reaches_the_caller(tmp_path, monkeypatch, capsys):
-    sizes = []
+    sizes, finished = [], []
 
     def failing_eigvalsh(a, UPLO="L"):
         sizes.append(a.shape[0])
         if a.shape[0] == 42:  # the Neumann block at gasket level 3
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        time.sleep(0.2)  # the Dirichlet block, slower than the failing solve
+        finished.append(time.monotonic())
         return np.zeros(a.shape[0])
 
     monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
     monkeypatch.setattr(spectral, "_solver_workers", lambda: 2)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         spectra(_op("gasket", 3))
-    assert sorted(sizes) == [39, 42]  # the other solve ran to the end
+    raised = time.monotonic()
+    assert sorted(sizes) == [39, 42] and len(finished) == 1
+    assert finished[0] <= raised  # the other solve ran to the end first
     # LinAlgError is a ValueError: the CLI reports it as a bad configuration
     assert run(["spectrum", "--builtin", "gasket", "--level", "3", "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
     assert "error: Eigenvalues did not converge" in capsys.readouterr().err
+
+
+def test_worker_svd_error_reaches_the_caller(monkeypatch):
+    finished = []
+    nullity = spectral._nullity
+
+    def failing_nullity(A, b, idx, tol, lam):
+        if lam == -3.0:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        time.sleep(0.2)
+        finished.append(time.monotonic())
+        return nullity(A, b, idx, tol, lam)
+
+    monkeypatch.setattr(spectral, "_nullity", failing_nullity)
+    monkeypatch.setattr(spectral, "_solver_workers", lambda: 2)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        nd_nullities(_op("gasket", 3), [-3.0, -5.0])
+    raised = time.monotonic()
+    assert len(finished) == 1 and finished[0] <= raised
 
 
 @pytest.mark.parametrize("name,levels", [("gasket", (2, 3, 4, 5)), ("star", (2, 3, 4)),
