@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -205,15 +206,23 @@ def _pool() -> ThreadPoolExecutor:
     return pool
 
 
-def _gather(tasks) -> list:
-    """The results of the zero-argument ``tasks``, run on the solver pool.
-    numpy releases the GIL inside LAPACK, so two solves overlap.  Tasks run
-    numpy code only, on arrays the calling thread prepared.  Every task
-    finishes before a result is returned or an error raised."""
-    pool = _pool()
-    futures = [pool.submit(task) for task in tasks]
-    wait(futures)
-    return [future.result() for future in futures]
+# While spectra() runs, its calling thread's (op, {bc: future}).  It is kept
+# per thread, not on the operator, so threads may share one operator.
+_HANDOFF = threading.local()
+
+
+def _handed(op: LevelOperator, boundary_condition: str):
+    """The pencil eigenvalues spectra() solves on the pool for ``op`` under
+    ``boundary_condition`` in this thread, raising what the solve raised;
+    None where spectra() started no such solve.  Each result is taken once.
+    The first take waits for both solves: one wake-up of the calling
+    thread per pair, and neither solve is left running when one raises."""
+    solves = getattr(_HANDOFF, "solves", None)
+    if solves is None or solves[0] is not op or boundary_condition not in solves[1]:
+        return None
+    futures = solves[1]
+    wait(futures.values())
+    return futures.pop(boundary_condition).result()
 
 
 def _decomposition(w: np.ndarray, U: np.ndarray | None, b: np.ndarray) -> EigenDecomposition:
@@ -233,9 +242,10 @@ def _decomposition(w: np.ndarray, U: np.ndarray | None, b: np.ndarray) -> EigenD
 # holds its shared pencil and LAPACK's copies of the Neumann and Dirichlet
 # blocks (3.03); one spectrum() call holds one copy fewer (2.03).  With
 # vectors, the pencil, LAPACK's copy, the divide-and-conquer workspace
-# (2 V^2) and the eigenvectors (5.03); nd then adds the cached A_n and,
-# per rho-table SVD on the pool, a stacked system and LAPACK's copy of it
-# (nd_spectrum plus nd_nullities: 5.07, so 6 leaves one V^2 of margin).
+# (2 V^2) and the eigenvectors (5.03); nd then adds the cached A_n, and
+# its rho table one stacked system and LAPACK's copy of it at a time
+# (nd_spectrum plus nd_nullities on two workers: 5.07, so 6 leaves one
+# V^2 of margin).
 SOLVE_ARRAYS = {False: 3, True: 6}
 
 
@@ -271,6 +281,7 @@ def spectrum(
     """Dense spectrum of H^+ (neumann) or H^- (dirichlet); eigenvectors
     only with ``vectors=True``.  Eigenvalues are <= 0 and descending.
     Without vectors the tridiagonal reduction skips the back-transformation.
+    Inside spectra() it returns the solve spectra() started on the pool.
     """
     if boundary_condition == "neumann":
         order = np.arange(op.size)
@@ -278,6 +289,9 @@ def spectrum(
         order = op.interior
     else:
         raise ValueError(f"unknown boundary condition {boundary_condition!r}")
+    w = None if vectors else _handed(op, boundary_condition)
+    if w is not None:
+        return _decomposition(w, None, op.b_float()[order])
     _check_dense_size(op.size, vectors)
     M, b = scaled_pencil(op, order)
     if not vectors:
@@ -292,7 +306,9 @@ def spectra(op: LevelOperator) -> tuple[EigenDecomposition, EigenDecomposition]:
 
     One pencil is built, with the interior vertices first, and the
     Dirichlet pencil is its leading block, a view.  The two eigvalsh calls
-    run concurrently on the solver pool; both have finished when spectra()
+    run concurrently on the solver pool, and each result is returned
+    through spectrum() on the calling thread, so a profile of spectrum()
+    sees every level spectrum.  Both solves have finished when spectra()
     returns or raises.  The Dirichlet eigenvalues equal
     spectrum(op, "dirichlet")'s bit for bit; the Neumann ones agree with
     spectrum(op, "neumann") to rounding, since LAPACK sees the rows in
@@ -302,9 +318,16 @@ def spectra(op: LevelOperator) -> tuple[EigenDecomposition, EigenDecomposition]:
     interior = op.interior
     M, _ = scaled_pencil(op, np.concatenate([interior, op.boundary]))
     k = len(interior)
-    w_n, w_d = _gather([partial(np.linalg.eigvalsh, M), partial(np.linalg.eigvalsh, M[:k, :k])])
-    b = op.b_float()
-    return _decomposition(w_n, None, b), _decomposition(w_d, None, b[interior])
+    pool = _pool()
+    futures = {"neumann": pool.submit(np.linalg.eigvalsh, M),
+               "dirichlet": pool.submit(np.linalg.eigvalsh, M[:k, :k])}
+    pending = list(futures.values())
+    _HANDOFF.solves = (op, futures)
+    try:
+        return spectrum(op, "neumann"), spectrum(op, "dirichlet")
+    finally:
+        _HANDOFF.solves = None
+        wait(pending)
 
 
 # -- Neumann-Dirichlet detection ----------------------------------------------
@@ -317,30 +340,23 @@ def _stacked_system(A: np.ndarray, b: np.ndarray, idx: np.ndarray, lam: float) -
     return S
 
 
-def _nullity(A: np.ndarray, b: np.ndarray, idx: np.ndarray, tol: float, lam: float) -> int:
-    """nd_nullity's kernel on the dense A_n, b_n and the interior ids."""
-    if not len(idx):
-        return 0
-    sv = np.linalg.svd(_stacked_system(A, b, idx, lam), compute_uv=False)
-    smax = sv[0] if sv[0] > 0 else 1.0
-    return int(np.sum(sv < tol * smax))
-
-
 def nd_nullity(op: LevelOperator, lam: float, tol: float = DEFAULT_NULLITY_TOL) -> int:
     """dim{f : f|boundary = 0, (A + lam diag(b)) f = 0} by a stacked SVD.
 
     The stacked system restricts (A + lam diag(b)) to interior columns,
     which is the matrix form of appending boundary-indicator rows.
     """
-    return _nullity(op.matrix_float(), op.b_float(), op.interior, tol, lam)
+    idx = op.interior
+    if not len(idx):
+        return 0
+    sv = np.linalg.svd(_stacked_system(op.matrix_float(), op.b_float(), idx, lam), compute_uv=False)
+    smax = sv[0] if sv[0] > 0 else 1.0
+    return int(np.sum(sv < tol * smax))
 
 
 def nd_nullities(op: LevelOperator, lams, tol: float = DEFAULT_NULLITY_TOL) -> list[int]:
-    """nd_nullity at every lam of ``lams``.  The SVDs run on the solver
-    pool, each task building its own stacked system; all have finished
-    when nd_nullities() returns or raises."""
-    A, b, idx = op.matrix_float(), op.b_float(), op.interior
-    return _gather([partial(_nullity, A, b, idx, tol, float(lam)) for lam in lams])
+    """nd_nullity at every lam of ``lams``, in order, one SVD at a time."""
+    return [nd_nullity(op, lam, tol) for lam in lams]
 
 
 def nd_spectrum(

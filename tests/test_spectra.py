@@ -1,6 +1,7 @@
 """spectra() and the solver pool: the paired Neumann/Dirichlet solve against
-two spectrum() calls, threads sharing one operator, the pool's failure
-paths, and the rho-table kernel against nd_nullity."""
+two spectrum() calls, results returned through spectrum(), threads sharing
+one operator, the pool's failure paths, and the rho table against
+nd_nullity."""
 
 import os
 import signal
@@ -61,6 +62,27 @@ def test_one_worker_pool_gives_the_same_bits(monkeypatch):
         assert np.array_equal(n1.eigenvalues, n2.eigenvalues)
         assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
         assert r1 == r2
+
+
+def test_pool_results_return_through_the_public_solvers(monkeypatch):
+    seen = []
+
+    def recording(fn):
+        def wrapper(op, *args):
+            seen.append((fn.__name__, args))
+            return fn(op, *args)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "spectrum", recording(spectrum))
+    monkeypatch.setattr(spectral, "nd_nullity", recording(nd_nullity))
+    op = _op("gasket", 3)
+    neumann, dirichlet = spectra(op)
+    assert nd_nullities(op, [-3.0, -5.0], 1e-8) == [nd_nullity(op, -3.0), nd_nullity(op, -5.0)]
+    assert seen == [("spectrum", ("neumann",)), ("spectrum", ("dirichlet",)),
+                    ("nd_nullity", (-3.0, 1e-8)), ("nd_nullity", (-5.0, 1e-8))]
+    assert set(op._cache) <= {"A", "b"}  # no solver state left on the operator
+    # a later call solves afresh
+    assert np.array_equal(spectrum(op, "dirichlet").eigenvalues, dirichlet.eigenvalues)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -129,25 +151,6 @@ def test_worker_linalg_error_reaches_the_caller(tmp_path, monkeypatch, capsys):
     # LinAlgError is a ValueError: the CLI reports it as a bad configuration
     assert run(["spectrum", "--builtin", "gasket", "--level", "3", "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
     assert "error: Eigenvalues did not converge" in capsys.readouterr().err
-
-
-def test_worker_svd_error_reaches_the_caller(monkeypatch):
-    finished = []
-    nullity = spectral._nullity
-
-    def failing_nullity(A, b, idx, tol, lam):
-        if lam == -3.0:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        time.sleep(0.2)
-        finished.append(time.monotonic())
-        return nullity(A, b, idx, tol, lam)
-
-    monkeypatch.setattr(spectral, "_nullity", failing_nullity)
-    monkeypatch.setattr(spectral, "_solver_workers", lambda: 2)
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        nd_nullities(_op("gasket", 3), [-3.0, -5.0])
-    raised = time.monotonic()
-    assert len(finished) == 1 and finished[0] <= raised
 
 
 @pytest.mark.parametrize("name,levels", [("gasket", (2, 3, 4, 5)), ("star", (2, 3, 4)),
