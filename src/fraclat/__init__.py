@@ -25,7 +25,6 @@ from .spectral import (
     argument_principle_count,
     counting_measure,
     dominates,
-    nd_nullities,
     nd_nullity,
     nd_spectrum,
     spectra,

@@ -24,9 +24,11 @@ from . import dynamics
 from .operator import BaseOperator, assemble, laplacian_base
 from .renorm import RenormContext, green_of_phi_batch, mu_nd_estimate
 from .spectral import (
+    DEFAULT_MERGE_TOL,
+    DEFAULT_NULLITY_TOL,
     SizeCeilingError,
     counting_measure,
-    nd_nullities,
+    nd_nullity,
     nd_spectrum,
     spectra,
     spectrum,
@@ -150,13 +152,13 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="Neumann/Dirichlet counting measures as CSV")
     _add_common(p)
     p.add_argument("--level", type=int, default=1)
-    p.add_argument("--merge-tol", type=float, default=1e-7)
+    p.add_argument("--merge-tol", type=float, default=DEFAULT_MERGE_TOL)
 
     p = sub.add_parser("nd", help="Neumann-Dirichlet spectrum and rho table")
     _add_common(p)
     p.add_argument("--level", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--merge-tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=DEFAULT_NULLITY_TOL)
+    p.add_argument("--merge-tol", type=float, default=DEFAULT_MERGE_TOL)
 
     p = sub.add_parser("dos", help="normalized density-of-states CDF samples")
     _add_common(p)
@@ -237,14 +239,8 @@ def cmd_nd(args) -> int:
         [(loc, m) for loc, m in nd.atoms],
         extra_meta=f", tol: {args.tol}, merge_tol: {args.merge_tol}",
     )
-    locs = [loc for loc, _ in nd.atoms]
-    rows = list(zip(locs, nd_nullities(op, locs, args.tol)))
-    write(
-        f"{spec.name}_n{args.level}_rho.csv",
-        "lambda,rho_n",
-        rows,
-        extra_meta=f", tol: {args.tol}",
-    )
+    rho = [(loc, nd_nullity(op, loc, args.tol)) for loc, _ in nd.atoms]
+    write(f"{spec.name}_n{args.level}_rho.csv", "lambda,rho_n", rho, extra_meta=f", tol: {args.tol}")
     print(f"N-D count at level {args.level}: {nd.total_mass}")
     return EXIT_OK
 

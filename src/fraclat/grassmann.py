@@ -25,6 +25,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import schur
+
 MAX_GENERATORS = 16
 
 
@@ -303,27 +305,9 @@ def scale_degree(X: GrassmannElement, factor) -> GrassmannElement:
 # -- exponentials of quadratic forms -------------------------------------------
 
 
-def _det_exact(M: list[list]) -> object:
-    """Bareiss fraction-free determinant (exact for int/Fraction entries)."""
-    k = len(M)
-    if k == 0:
-        return Fraction(1)
-    A = [[Fraction(v) for v in row] for row in M]
-    sign = 1
-    prev = Fraction(1)
-    for col in range(k - 1):
-        piv = next((r for r in range(col, k) if A[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            sign = -sign
-        for r in range(col + 1, k):
-            for c in range(col + 1, k):
-                A[r][c] = (A[r][c] * A[col][col] - A[r][col] * A[col][c]) / prev
-            A[r][col] = Fraction(0)
-        prev = A[col][col]
-    return sign * A[k - 1][k - 1]
+def _det_exact(M: list[list]) -> Fraction:
+    """Exact determinant of a square int/Fraction matrix given as rows."""
+    return schur._eliminate(M, len(M))[1]
 
 
 def exp_q_rows(Q) -> np.ndarray:
@@ -331,8 +315,9 @@ def exp_q_rows(Q) -> np.ndarray:
 
     The (I, J) coordinate is the (I, J) minor, with the sign from re-sorting
     the interleaved monomial into canonical order; the unit carries 1.
-    Exact input (object or integer dtype) gives Fraction rows, one Bareiss
-    determinant per minor and matrix; float input one batched det per minor.
+    Exact input (object or integer dtype) gives Fraction rows, one
+    determinant per minor and matrix by schur's exact elimination; float
+    input one batched det per minor.
     """
     Q = np.asarray(Q)
     B, n = Q.shape[:2]

@@ -2,9 +2,10 @@
 
 trace_on_subset(Q, F') = Q|F' - B (Q|F\\F')^{-1} B^t, the effective
 operator seen from F'; equals ((Q^{-1})|F')^{-1} when Q is invertible.
-Works on float/complex arrays and on exact (Fraction) object arrays, of one
-matrix or of a (..., n, n) stack; exact and float input differ only in the
-interior solve.
+Works on one matrix or a (..., n, n) stack: float/complex input with an SVD
+pole check and LAPACK solves, exact (object) input with _eliminate, one
+Fraction elimination giving the Schur complement and the interior
+determinant together, which grassmann's exact determinants use too.
 """
 
 from __future__ import annotations
@@ -33,32 +34,43 @@ def _partition(Q: np.ndarray, subset) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return Q, np.array(keep, dtype=np.intp), np.array(drop, dtype=np.intp)
 
 
-def _exact_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Fraction-exact Gaussian elimination with partial (nonzero) pivoting."""
-    n = M.shape[0]
-    aug = [[Fraction(v) for v in M[i]] + list(rhs[i]) for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise TracePoleError("pole of the trace map: singular interior block")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pval = aug[col][col]
-        aug[col] = [v / pval for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return np.array([row[n:] for row in aug], dtype=object).reshape(rhs.shape)
+def _eliminate(M, k: int) -> tuple[list | None, Fraction]:
+    """(Schur complement, determinant) of the leading k x k block of the rows
+    M, in Fractions, or (None, 0) when the block is singular.  A zero pivot
+    is swapped with a later row of the block, which keeps the complement."""
+    A = [[Fraction(v) for v in row] for row in M]
+    det = Fraction(1)
+    for c in range(k):
+        p = A[c][c]
+        if not p:
+            for r in range(c + 1, k):
+                if A[r][c]:
+                    break
+            else:
+                return None, Fraction(0)
+            A[c], A[r] = A[r], A[c]
+            p, det = A[c][c], -det
+        det *= p
+        pivot_row = A[c]
+        for row in A[c + 1:]:
+            f = row[c]
+            if f:
+                f /= p
+                for j in range(c + 1, len(row)):
+                    row[j] -= f * pivot_row[j]
+    return [row[k:] for row in A[k:]], det
+
+
+def _complement(M, k: int) -> list:
+    """_eliminate's Schur complement, raising TracePoleError on a singular block."""
+    S, _ = _eliminate(M, k)
+    if S is None:
+        raise TracePoleError("pole of the trace map: singular interior block")
+    return S
 
 
 def _interior_solve(Qdd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve every interior block of the stack against rhs, raising on
-    (near-)singularity of any of them."""
-    if Qdd.shape[-1] == 0:
-        return rhs[..., :0, :]
-    if Qdd.dtype == object:
-        pairs = zip(Qdd.reshape(-1, *Qdd.shape[-2:]), rhs.reshape(-1, *rhs.shape[-2:]))
-        return np.array([_exact_solve(M, r) for M, r in pairs], dtype=object).reshape(rhs.shape)
+    """Solve each float interior block against rhs; raise if any is near-singular."""
     sv = np.linalg.svd(Qdd, compute_uv=False)
     if np.any((sv[..., -1] <= RCOND_SINGULAR * sv[..., 0]) | (sv[..., 0] == 0)):
         raise TracePoleError("pole of the trace map: singular interior block")
@@ -70,6 +82,10 @@ def trace_on_subset(Q: np.ndarray, subset) -> np.ndarray:
     the index subset, in the order the subset lists it."""
     Q, keep, drop = _partition(np.asarray(Q), subset)
     Qff = Q[..., keep[:, None], keep]
+    if Q.dtype == object and len(keep):  # each matrix reordered dropped-then-kept
+        order = np.concatenate([drop, keep])
+        stack = Q[..., order[:, None], order].reshape(-1, len(order), len(order))
+        return np.array([_complement(M.tolist(), len(drop)) for M in stack], dtype=object).reshape(Qff.shape)
     if not len(drop) or not len(keep):
         return Qff
     X = _interior_solve(Q[..., drop[:, None], drop], Q[..., drop[:, None], keep])
@@ -77,16 +93,24 @@ def trace_on_subset(Q: np.ndarray, subset) -> np.ndarray:
 
 
 def harmonic_prolongation(Q: np.ndarray, subset, f) -> np.ndarray:
-    """Extend f on F' to F with (Q Hf) = 0 off F' and Hf = f on F'."""
+    """Extend f on F' to F with (Q Hf) = 0 off F' and Hf = f on F'.  On exact
+    input Hf off F' is the Schur complement of [[Q_dd, Q_dk f], [I, 0]]."""
     Q, keep, drop = _partition(np.asarray(Q), subset)
+    if Q.ndim != 2:
+        raise ValueError("harmonic_prolongation takes one matrix, not a stack")
     f = np.asarray(f)
     if f.shape[0] != len(keep):
         raise ValueError("f must live on the subset")
+    exact = Q.dtype == object
     out = np.empty(Q.shape[0], dtype=Q.dtype)  # keep and drop cover every index
-    out[keep] = f
-    if len(drop):
-        X = _interior_solve(Q[drop[:, None], drop], Q[drop[:, None], keep] @ f.reshape(-1, 1))
-        out[drop] = -X[:, 0]
+    out[keep] = [Fraction(v) for v in f] if exact else f
+    g = Q[drop[:, None], keep] @ f.reshape(-1, 1)
+    if exact:
+        eye = np.eye(len(drop), len(drop) + 1, dtype=int)  # the [I, 0] rows
+        bordered = np.vstack([np.hstack([Q[drop[:, None], drop], g]), eye]).tolist()
+        out[drop] = [v for (v,) in _complement(bordered, len(drop))]
+    elif len(drop):
+        out[drop] = -_interior_solve(Q[drop[:, None], drop], g)[:, 0]
     return out
 
 

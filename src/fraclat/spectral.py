@@ -242,10 +242,10 @@ def _decomposition(w: np.ndarray, U: np.ndarray | None, b: np.ndarray) -> EigenD
 # holds its shared pencil and LAPACK's copies of the Neumann and Dirichlet
 # blocks (3.03); one spectrum() call holds one copy fewer (2.03).  With
 # vectors, the pencil, LAPACK's copy, the divide-and-conquer workspace
-# (2 V^2) and the eigenvectors (5.03); nd then adds the cached A_n, and
-# its rho table one stacked system and LAPACK's copy of it at a time
-# (nd_spectrum plus nd_nullities on two workers: 5.07, so 6 leaves one
-# V^2 of margin).
+# (2 V^2) and the eigenvectors (5.03); nd then adds the cached A_n.  Its
+# rho table, one SVD at a time, holds A_n, one stacked system and LAPACK's
+# copy of it: at V = 1095 it leaves nd_spectrum's peak-RSS rise (5.31 V^2)
+# unchanged.  6 leaves about one V^2 of margin.
 SOLVE_ARRAYS = {False: 3, True: 6}
 
 
@@ -352,11 +352,6 @@ def nd_nullity(op: LevelOperator, lam: float, tol: float = DEFAULT_NULLITY_TOL) 
     sv = np.linalg.svd(_stacked_system(op.matrix_float(), op.b_float(), idx, lam), compute_uv=False)
     smax = sv[0] if sv[0] > 0 else 1.0
     return int(np.sum(sv < tol * smax))
-
-
-def nd_nullities(op: LevelOperator, lams, tol: float = DEFAULT_NULLITY_TOL) -> list[int]:
-    """nd_nullity at every lam of ``lams``, in order, one SVD at a time."""
-    return [nd_nullity(op, lam, tol) for lam in lams]
 
 
 def nd_spectrum(

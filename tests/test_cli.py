@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fraclat import cli, spectral
 from fraclat.cli import EXIT_BAD_CONFIG, EXIT_CEILING, EXIT_OK, EXIT_VALIDATION, run
 from fraclat.operator import assemble, laplacian_base
 from fraclat.spectral import spectrum
@@ -293,6 +294,25 @@ def test_nd_solves_for_eigenvectors_once(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     assert run(["nd", "--builtin", "gasket", "--level", "3", "--out", str(tmp_path)]) == EXIT_OK
     assert len(calls) == 1
+
+
+def test_nd_rho_column_is_one_nd_nullity_call_per_atom(tmp_path, monkeypatch):
+    calls = []
+    nd_nullity = cli.nd_nullity
+    monkeypatch.setattr(cli, "nd_nullity", lambda op, lam, tol: calls.append((lam, tol)) or nd_nullity(op, lam, tol))
+    argv = ["nd", "--builtin", "gasket", "--level", "3", "--tol", "1e-9", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_OK
+    nd = [l.split(",") for l in lines(tmp_path / "gasket_n3_nd.csv")[2:]]
+    rho = [l.split(",") for l in lines(tmp_path / "gasket_n3_rho.csv")[2:]]
+    assert [r[0] for r in rho] == [r[0] for r in nd]
+    assert calls == [(float(r[0]), 1e-9) for r in rho]  # %.17g round-trips every float
+
+
+def test_tolerance_defaults_are_spectral_constants():
+    parse = cli.make_parser().parse_args
+    for command in ("spectrum", "nd"):
+        assert parse([command, "--builtin", "gasket"]).merge_tol == spectral.DEFAULT_MERGE_TOL
+    assert parse(["nd", "--builtin", "gasket"]).tol == spectral.DEFAULT_NULLITY_TOL
 
 
 def test_memory_model_refuses_the_vectors_path_first(tmp_path, monkeypatch):

@@ -2,11 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraclat import schur
+from fraclat.grassmann import _det_exact, basis, exp_q_rows
 from fraclat.schur import (
     TracePoleError,
+    _eliminate,
     harmonic_prolongation,
     in_siegel_halfspace,
     trace_on_subset,
@@ -134,3 +138,145 @@ def test_siegel_inputs_never_pole():
         assert in_siegel_halfspace(Q)
         out = trace_on_subset(Q, [0, 1, 2])  # must not raise
         assert out.shape == (3, 3)
+
+
+# -- the exact elimination kernel ---------------------------------------------------
+
+
+def rand_rational(rng, rows, cols):
+    return [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6))) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def rand_rational_symmetric(rng, n):
+    """A rational symmetric n x n matrix with Q[0, 0] = 0."""
+    M = sympy.Matrix(rand_rational(rng, n, n))
+    Q = M + M.T
+    Q[0, 0] = 0
+    return Q
+
+
+def to_object(M):
+    return np.array([[Fraction(int(v.p), int(v.q)) for v in row] for row in M.tolist()], dtype=object)
+
+
+def test_kernel_determinant_matches_sympy():
+    rng = np.random.default_rng(20)
+    cases = []
+    for k in range(1, 7):
+        for _ in range(6):
+            cases.append(rand_rational(rng, k, k))
+        M = rand_rational(rng, k, k)
+        M[0][0] = Fraction(0)  # the first pivot needs a row swap
+        cases.append(M)
+        M = rand_rational(rng, k, k)
+        M[-1] = [2 * v for v in M[0]]  # singular
+        cases.append(M)
+    cases.append([[0, 1, 2], [0, 3, 4], [0, 5, 6]])  # no pivot in the first column
+    cases.append([[0, 1], [1, 0]])
+    for M in cases:
+        S, det = _eliminate(M, len(M))
+        assert isinstance(det, Fraction)
+        assert det == sympy.Matrix(M).det()
+        assert S == ([] if det else None)
+        assert _det_exact(M) == det
+    assert _det_exact([]) == 1
+
+
+def test_kernel_schur_complement_ignores_row_swaps():
+    # a zero leading pivot swaps rows inside the block only: the complement is
+    # D - C A^-1 B whatever the pivot order
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        M = sympy.Matrix(rand_rational(rng, 5, 5))
+        M[0, 0] = 0
+        A, B, C, D = M[:3, :3], M[:3, 3:], M[3:, :3], M[3:, 3:]
+        if A.det() == 0:
+            continue
+        S, det = _eliminate(M.tolist(), 3)
+        assert det == A.det()
+        assert sympy.Matrix(S) == D - C * A.inv() * B
+
+
+def test_exact_trace_matches_sympy_inverse_restrict_invert():
+    rng = np.random.default_rng(22)
+    for n, keep in ((5, [1, 3]), (6, [4, 2, 5]), (4, [3])):
+        done = 0
+        while done < 5:
+            Q = rand_rational_symmetric(rng, n)  # index 0 is dropped: its pivot is 0
+            if Q.det() == 0 or Q.inv().extract(keep, keep).det() == 0:
+                continue
+            drop = [i for i in range(n) if i not in keep]
+            if Q.extract(drop, drop).det() == 0:
+                continue
+            got = trace_on_subset(to_object(Q), keep)
+            assert got.tolist() == Q.inv().extract(keep, keep).inv().tolist()
+            done += 1
+
+
+def test_exact_harmonic_prolongation_is_harmonic_off_the_subset():
+    rng = np.random.default_rng(23)
+    done = 0
+    while done < 10:
+        Q = rand_rational_symmetric(rng, 6)
+        keep = [4, 1]
+        drop = [0, 2, 3, 5]
+        if Q.extract(drop, drop).det() == 0:
+            continue
+        Qx = to_object(Q)
+        f = np.array(rand_rational(rng, 1, 2)[0], dtype=object)
+        H = harmonic_prolongation(Qx, keep, f)
+        assert all(isinstance(v, Fraction) for v in H)
+        assert (H[keep] == f).all()
+        assert all(v == 0 for v in (Qx @ H)[drop])
+        assert ((trace_on_subset(Qx, keep) @ f) == (Qx @ H)[keep]).all()
+        done += 1
+
+
+def test_exact_singular_interior_raises():
+    Q = np.array([[1, 0, 0], [0, 0, 0], [0, 0, 0]], dtype=object)
+    with pytest.raises(TracePoleError):
+        trace_on_subset(Q, [0])
+    with pytest.raises(TracePoleError):
+        harmonic_prolongation(Q, [0], [1])
+
+
+def test_integer_object_input_gives_fractions():
+    Q = np.array([[2, 1, 0], [1, 3, 1], [0, 1, 2]], dtype=object)
+    for keep in ([0, 2], [0, 1, 2], [2]):
+        out = trace_on_subset(Q, keep)
+        assert all(type(v) is Fraction for v in out.ravel())
+        out = harmonic_prolongation(Q, keep, [1] * len(keep))
+        assert all(type(v) is Fraction for v in out)
+    assert trace_on_subset(Q, [0, 2]).tolist() == [[Fraction(5, 3), Fraction(-1, 3)],
+                                                    [Fraction(-1, 3), Fraction(5, 3)]]
+    assert type(_det_exact(Q.tolist())) is Fraction
+    assert type(_det_exact([[0, 1], [0, 1]])) is Fraction
+    rows = exp_q_rows(np.array([[[1, 2], [2, 0]]]))
+    assert all(type(v) is Fraction for v in rows.ravel())
+
+
+def test_prolongation_takes_one_matrix():
+    with pytest.raises(ValueError, match="one matrix"):
+        harmonic_prolongation(np.stack([np.eye(4)] * 2), [0, 1], [1.0, 2.0])
+
+
+def test_exact_paths_share_one_elimination(monkeypatch):
+    calls = []
+    eliminate = schur._eliminate
+    monkeypatch.setattr(schur, "_eliminate", lambda M, k: calls.append((len(M), k)) or eliminate(M, k))
+    Q = np.array([[2, 1, 0], [1, 3, 1], [0, 1, 2]], dtype=object)
+    _det_exact(Q.tolist())
+    assert calls == [(3, 3)]
+    calls.clear()
+    exp_q_rows(np.stack([Q, Q]))  # 19 minors of each matrix below the unit
+    assert len(calls) == 2 * (len(basis(3)) - 1)
+    calls.clear()
+    trace_on_subset(np.stack([Q, Q]), [0])
+    assert calls == [(3, 2), (3, 2)]
+    calls.clear()
+    harmonic_prolongation(Q, [0], [1])  # bordered: 2 interior rows over 2 identity rows
+    assert calls == [(4, 2)]
+    calls.clear()
+    trace_on_subset(Q.astype(float), [0])  # float input never takes the exact kernel
+    assert calls == []

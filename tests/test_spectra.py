@@ -1,7 +1,7 @@
 """spectra() and the solver pool: the paired Neumann/Dirichlet solve against
 two spectrum() calls, results returned through spectrum(), threads sharing
-one operator, the pool's failure paths, and the rho table against
-nd_nullity."""
+one operator, the pool's failure paths, and the rho table's nd_nullity
+against the N-D spectrum."""
 
 import os
 import signal
@@ -17,7 +17,6 @@ from fraclat.cli import EXIT_BAD_CONFIG, EXIT_OK, run
 from fraclat.operator import assemble, laplacian_base
 from fraclat.spectral import (
     counting_measure,
-    nd_nullities,
     nd_nullity,
     nd_spectrum,
     spectra,
@@ -57,7 +56,7 @@ def test_one_worker_pool_gives_the_same_bits(monkeypatch):
     results = []
     for workers in (2, 1):
         monkeypatch.setattr(spectral, "_solver_workers", lambda: workers)
-        results.append([(spectra(op), nd_nullities(op, lams)) for op in ops])
+        results.append([(spectra(op), [nd_nullity(op, lam) for lam in lams]) for op in ops])
     for ((n1, d1), r1), ((n2, d2), r2) in zip(*results):
         assert np.array_equal(n1.eigenvalues, n2.eigenvalues)
         assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
@@ -77,7 +76,8 @@ def test_pool_results_return_through_the_public_solvers(monkeypatch):
     monkeypatch.setattr(spectral, "nd_nullity", recording(nd_nullity))
     op = _op("gasket", 3)
     neumann, dirichlet = spectra(op)
-    assert nd_nullities(op, [-3.0, -5.0], 1e-8) == [nd_nullity(op, -3.0), nd_nullity(op, -5.0)]
+    rho = [spectral.nd_nullity(op, lam, 1e-8) for lam in (-3.0, -5.0)]
+    assert rho == [nd_nullity(op, -3.0), nd_nullity(op, -5.0)]
     assert seen == [("spectrum", ("neumann",)), ("spectrum", ("dirichlet",)),
                     ("nd_nullity", (-3.0, 1e-8)), ("nd_nullity", (-5.0, 1e-8))]
     assert set(op._cache) <= {"A", "b"}  # no solver state left on the operator
@@ -90,13 +90,13 @@ def test_threads_share_one_operator(monkeypatch, workers):
     monkeypatch.setattr(spectral, "_solver_workers", lambda: workers)
     op = _op("gasket", 4)
     lams = [-3.0, -5.0, -0.123456]
-    (want_n, want_d), want_r = spectra(op), nd_nullities(op, lams)
+    (want_n, want_d), want_r = spectra(op), [nd_nullity(op, lam) for lam in lams]
     results, errors = [], []
 
     def calls():
         try:
             for _ in range(10):
-                results.append((spectra(op), nd_nullities(op, lams)))
+                results.append((spectra(op), [nd_nullity(op, lam) for lam in lams]))
         except Exception as exc:
             errors.append(exc)
 
@@ -158,13 +158,17 @@ def test_worker_linalg_error_reaches_the_caller(tmp_path, monkeypatch, capsys):
 def test_rho_kernel_matches_nd_nullity(name, levels):
     for n in levels:
         op = _op(name, n)
-        lams = [float(loc) for loc, _ in nd_spectrum(op).atoms]
+        nd = nd_spectrum(op)
+        lams = [float(loc) for loc, _ in nd.atoms]
         lams += [float(x) for x in spectrum(op, "dirichlet").eigenvalues[::7][:4]] + [-0.123456]
-        assert nd_nullities(op, lams) == [nd_nullity(op, lam) for lam in lams]
+        # the SVD nullity is the N-D mass of the atom at lam, and 0 away from every atom
+        want = [sum(m for loc, m in nd.atoms if abs(loc - lam) <= nd.merge_tol) for lam in lams]
+        assert [nd_nullity(op, lam) for lam in lams] == want
 
 
 def test_rho_kernel_without_interior():
-    assert nd_nullities(_op("gasket", 0), [-3.0, -5.0]) == [0, 0]
+    op = _op("gasket", 0)
+    assert [nd_nullity(op, lam) for lam in (-3.0, -5.0)] == [0, 0]
 
 
 def test_decimation_skips_the_last_neumann_solve(tmp_path, monkeypatch):
