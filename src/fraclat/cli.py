@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate, spectrum, nd, dos, green, gasket-measure, degrees,
-decimation, matrix.  Outputs are deterministic CSV/JSON files carrying a
-header comment with the command, a config hash and the tolerances.
+decimation, matrix.  Outputs are deterministic.  CSV files open with a
+comment giving the command, a config hash and any tolerances; the .mtx
+exports and the --tree-out JSON carry none of these.
 Exit codes: 0 ok, 1 invalid configuration, 2 validation failure,
 3 dense-solve ceiling exceeded.
 """
@@ -101,6 +102,8 @@ def _load_base(args, spec: StructureSpec) -> BaseOperator:
         a = [[Fraction(0)] * n0 for _ in range(n0)]
         for (x, y, v) in d["a"]:
             x, y = int(x) - 1, int(y) - 1
+            if not (0 <= x < n0 and 0 <= y < n0):
+                raise ValueError(f"base coupling ({x + 1}, {y + 1}) must index vertices 1..{n0}")
             a[x][y] = a[y][x] = Fraction(str(v))
         b = tuple(Fraction(str(v)) for v in d["b"])
         base = BaseOperator(a=tuple(tuple(r) for r in a), b=b)

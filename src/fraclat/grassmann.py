@@ -26,6 +26,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import schur
+from .structure import numeric
 
 MAX_GENERATORS = 16
 
@@ -157,22 +158,17 @@ def basis_index(n: int) -> Mapping[tuple[int, int], int]:
 
 
 def rows(elements) -> np.ndarray:
-    """Coefficient rows of elements on a common generator count: object dtype
-    when every coefficient is exact (int or Fraction), else float or complex."""
+    """Coefficient rows of elements on a common generator count, classified by
+    structure.numeric (so zero elements give object rows)."""
     n = elements[0].n
     if any(X.n != n for X in elements):
         raise ValueError("mismatched generator counts")
-    values = [v for X in elements for v in X.coeffs.values()]
-    if all(isinstance(v, (int, Fraction)) for v in values):
-        dtype = object
-    else:
-        dtype = complex if any(isinstance(v, complex) for v in values) else float
     index = basis_index(n)
-    x = np.zeros((len(elements), len(index)), dtype=dtype)
+    x = np.zeros((len(elements), len(index)), dtype=object)
     for row, X in zip(x, elements):
         for key, v in X.coeffs.items():
             row[index[key]] = v
-    return x
+    return numeric(x)[1][0]
 
 
 def scalar_product(X: GrassmannElement, Y: GrassmannElement):
@@ -249,11 +245,7 @@ def restrict(X: GrassmannElement, subset) -> GrassmannElement:
     ``subset`` lists distinct generators to keep, in any order; the result
     lives on len(subset) generators, generator subset[p] becoming generator p.
     """
-    keep = [int(i) for i in subset]
-    kept = set(keep)
-    if len(kept) != len(keep) or not kept <= set(range(X.n)):
-        raise ValueError("subset must list distinct generators of X")
-    drop = [i for i in range(X.n) if i not in kept]
+    keep, drop = schur._split(X.n, subset)
     mid = interior_product(generator_pair_product(X.n, drop), X)
     # the inverse of the permutation keep + drop; dropped generators no longer occur
     return relabel(mid, np.argsort(keep + drop).tolist(), len(keep))
@@ -275,23 +267,12 @@ def relabel(X: GrassmannElement, images, n_out: int | None = None) -> GrassmannE
         for mask in (i, j):
             if mask not in table:
                 imgs = [images[g] for g in _bits(mask)]
-                sign, sorted_imgs = _sort_parity(imgs)
-                table[mask] = (sum(1 << g for g in sorted_imgs), sign)
+                inversions = sum(a > b for k, a in enumerate(imgs) for b in imgs[k + 1:])
+                table[mask] = (sum(1 << g for g in imgs), -1 if inversions & 1 else 1)
         (im, si), (jm, sj) = table[i], table[j]
         key = (im, jm)
         out[key] = out.get(key, 0) + si * sj * c
     return GrassmannElement(n_out, {k: v for k, v in out.items() if v != 0})
-
-
-def _sort_parity(values: list[int]) -> tuple[int, list[int]]:
-    vals = list(values)
-    sign = 1
-    for a in range(len(vals)):
-        for b in range(a + 1, len(vals)):
-            if vals[a] > vals[b]:
-                vals[a], vals[b] = vals[b], vals[a]
-                sign = -sign
-    return sign, vals
 
 
 def scale_degree(X: GrassmannElement, factor) -> GrassmannElement:
@@ -315,19 +296,16 @@ def exp_q_rows(Q) -> np.ndarray:
 
     The (I, J) coordinate is the (I, J) minor, with the sign from re-sorting
     the interleaved monomial into canonical order; the unit carries 1.
-    Exact input (object or integer dtype) gives Fraction rows, one
-    determinant per minor and matrix by schur's exact elimination; float
-    input one batched det per minor.
+    Exact input (structure.numeric) gives Fraction rows, one determinant per
+    minor and matrix by schur's exact elimination; other input float or
+    complex rows, one batched det per minor.
     """
-    Q = np.asarray(Q)
+    exact, (Q,) = numeric(Q)
     B, n = Q.shape[:2]
     if Q.shape != (B, n, n):
         raise ValueError("every matrix of Q must be square")
-    exact = Q.dtype == object or np.issubdtype(Q.dtype, np.integer)
-    if not exact:
-        Q = Q.astype(complex if np.iscomplexobj(Q) else float)
     keys = basis(n)
-    x = np.zeros((B, len(keys)), dtype=object if exact else Q.dtype)
+    x = np.zeros((B, len(keys)), dtype=Q.dtype)
     x[:, 0] = Fraction(1) if exact else 1.0
     for d, (I, J) in enumerate(keys[1:], 1):
         I, J = _bits(I), _bits(J)
@@ -348,11 +326,11 @@ def nd_order(Q0, B, subset) -> int:
 
     Exact path: every coefficient is a polynomial in lambda of degree <= |F|,
     recovered by Newton interpolation at integer nodes; the order equals
-    dim{f in ker Q0 : f vanishes on F'}.
+    dim{f in ker Q0 : f vanishes on F'}.  Q0 and B must be exact.
     """
-    to_fraction = np.frompyfunc(Fraction, 1, 1)
-    Q0 = to_fraction(np.asarray(Q0))
-    B = to_fraction(np.asarray(B))
+    exact, (Q0, B) = numeric(Q0, B)
+    if not exact:
+        raise ValueError("nd_order needs exact rational Q0 and B")
     n = Q0.shape[0]
     keep = sorted(set(int(i) for i in subset))
     nodes = [Fraction(t) for t in range(n + 1)]

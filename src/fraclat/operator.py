@@ -96,9 +96,9 @@ def cell_sums(lat: LatticeLevel, weights, M: np.ndarray, exact: bool = True):
     matrix of the (..., N0, N0) stack M, by one scatter-add in (c, x, y)
     order.  Returns (keys, sums, den): sums of shape (..., len(keys)) at
     sorted flat indices row * V + col, integer numerators over den when the
-    weights and M are exact (int64 if a bound on every partial sum and on den
-    is below 2**53, else Python ints; with ``exact`` false each product is
-    rounded once before a float sum), else floating point with den None."""
+    weights are exact and M is object dtype (int64 if a bound on every partial
+    sum and on den is below 2**53, else Python ints; with ``exact`` false each
+    product is rounded once before a float sum), else floats with den None."""
     w, den = weights
     pattern = M != 0
     while pattern.ndim > 2:
@@ -109,7 +109,7 @@ def cell_sums(lat: LatticeLevel, weights, M: np.ndarray, exact: bool = True):
         (ids[:, x] * V + ids[:, y]).ravel(), return_inverse=True, return_counts=True
     )
     Mxy = M[..., x, y]
-    if den is not None and is_exact(M.flat):
+    if den is not None and M.dtype == object:
         m, mden = _over_lcm(Mxy.ravel())
         den *= mden
         bound = int(w.max()) * max(map(abs, m), default=0) * int(count.max(initial=0))

@@ -24,7 +24,7 @@ from .grassmann import GrassmannElement
 from .operator import BaseOperator, assemble, cell_sums, check_lattice, sums_exact
 from .schur import in_siegel_halfspace, trace_on_subset
 from .spectral import AtomicMeasure, nd_nullity, nd_spectrum
-from .structure import LatticeLevel, StructureSpec, build_level, is_exact
+from .structure import LatticeLevel, StructureSpec, build_level, is_exact, numeric
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class RenormContext:
         e = 0
         for j in range(n):
             e += (self.vertex_count(j) - spec.N0) * spec.N ** (n - 1 - j)
-        if isinstance(p, Fraction) and e * ((p.numerator * p.denominator).bit_length() - 1) > COEFF_BIT_LIMIT:
+        if is_exact((p,)) and e * ((p.numerator * p.denominator).bit_length() - 1) > COEFF_BIT_LIMIT:
             raise ValueError(f"C_{n} = ({p})**{e} exceeds {COEFF_BIT_LIMIT} bits")
         return p**e
 
@@ -244,14 +244,13 @@ def gasket_coords(Q: np.ndarray) -> tuple:
 def level_matrix(ctx: RenormContext, Q: np.ndarray, lat: LatticeLevel | None = None) -> np.ndarray:
     """Assemble Q_<n> for Q or for every matrix of a (..., N0, N0) stack: the
     weighted sum of copies of Q over all n-cells, exact (object Fractions)
-    when Q and the energy weights are, else complex.  ``lat`` (level 1 by
-    default) must be built from ctx.spec, whose energy weights it carries."""
+    when Q (by structure.numeric) and the energy weights are, else complex.
+    ``lat`` (level 1 by default) must be built from ctx.spec."""
     lat = ctx.level1 if lat is None else lat
     check_lattice(ctx.spec, lat)
-    Q = np.asarray(Q)
+    _, (Q,) = numeric(Q)
     V = lat.num_vertices
-    exact = Q.dtype == object and is_exact(Q.flat)
-    keys, sums, den = cell_sums(lat, lat.energy_weights, Q if exact else Q.astype(complex))
+    keys, sums, den = cell_sums(lat, lat.energy_weights, Q)
     shape = (*Q.shape[:-2], V * V)
     if den is None:
         out = np.zeros(shape, dtype=complex)
@@ -297,8 +296,7 @@ def r_iterate(ctx: RenormContext, X: GrassmannElement, n: int) -> GrassmannEleme
 def phi_rows(base: BaseOperator, lams) -> np.ndarray:
     """Coefficient rows of phi(lambda) for every lambda of lams: exp_q of the
     stack of A - lambda diag(b), exact when base and every lambda are."""
-    exact = base.exact and all(isinstance(lam, (int, Fraction)) for lam in lams)
-    dtype = object if exact else complex
+    dtype = object if base.exact and is_exact(lams) else complex
     A = np.asarray(base.matrix(), dtype=dtype)
     b = np.diag(np.asarray(base.b, dtype=dtype))
     n = base.size
@@ -462,7 +460,7 @@ def rho_n_vanishing_order(ctx: RenormContext, base: BaseOperator, lam0, n: int) 
     The shifted operator line hits the eigenvalue at lambda = 0; feasible
     for small n only (exact Grassmann iteration).
     """
-    if not isinstance(lam0, (int, Fraction)):
+    if not is_exact((lam0,)):
         raise ValueError("exact path needs rational lam0")
     return gr.vanishing_order(*_exact_r_samples(ctx, base, n, ctx.vertex_count(n), Fraction(lam0)))
 

@@ -2,10 +2,10 @@
 
 trace_on_subset(Q, F') = Q|F' - B (Q|F\\F')^{-1} B^t, the effective
 operator seen from F'; equals ((Q^{-1})|F')^{-1} when Q is invertible.
-Works on one matrix or a (..., n, n) stack: float/complex input with an SVD
-pole check and LAPACK solves, exact (object) input with _eliminate, one
-Fraction elimination giving the Schur complement and the interior
-determinant together, which grassmann's exact determinants use too.
+Works on one matrix or a (..., n, n) stack, classified by structure.numeric:
+float/complex input with an SVD pole check and LAPACK solves, exact input
+with _eliminate, one Fraction elimination giving the Schur complement and the
+interior determinant together, which grassmann's exact determinants use too.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .structure import numeric
+
 RCOND_SINGULAR = 1e-13
 
 
@@ -21,17 +23,20 @@ class TracePoleError(ArithmeticError):
     """Interior block singular: the rational trace map has a pole here."""
 
 
-def _partition(Q: np.ndarray, subset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Q, the kept indices in the order given and the dropped ones ascending."""
-    n = Q.shape[-1]
-    if Q.ndim < 2 or Q.shape[-2] != n:
-        raise ValueError("Q must be square")
+def _split(n: int, subset) -> tuple[list[int], list[int]]:
+    """Kept indices as listed and dropped ones ascending, for distinct indices of range(n) only."""
     keep = [int(i) for i in subset]
     kept = set(keep)
     if len(kept) != len(keep) or not kept <= set(range(n)):
-        raise ValueError("subset must list distinct indices of Q")
-    drop = [i for i in range(n) if i not in kept]
-    return Q, np.array(keep, dtype=np.intp), np.array(drop, dtype=np.intp)
+        raise ValueError("subset must list distinct indices")
+    return keep, [i for i in range(n) if i not in kept]
+
+
+def _partition(Q: np.ndarray, subset) -> tuple[np.ndarray, np.ndarray]:
+    """_split of the square Q (or stack) into kept and dropped index arrays."""
+    if Q.ndim < 2 or Q.shape[-2] != Q.shape[-1]:
+        raise ValueError("Q must be square")
+    return tuple(np.array(ix, dtype=np.intp) for ix in _split(Q.shape[-1], subset))
 
 
 def _eliminate(M, k: int) -> tuple[list | None, Fraction]:
@@ -80,9 +85,10 @@ def _interior_solve(Qdd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def trace_on_subset(Q: np.ndarray, subset) -> np.ndarray:
     """Schur complement of Q, or of every matrix of a (..., n, n) stack, onto
     the index subset, in the order the subset lists it."""
-    Q, keep, drop = _partition(np.asarray(Q), subset)
+    exact, (Q,) = numeric(Q)
+    keep, drop = _partition(Q, subset)
     Qff = Q[..., keep[:, None], keep]
-    if Q.dtype == object and len(keep):  # each matrix reordered dropped-then-kept
+    if exact and len(keep):  # each matrix reordered dropped-then-kept
         order = np.concatenate([drop, keep])
         stack = Q[..., order[:, None], order].reshape(-1, len(order), len(order))
         return np.array([_complement(M.tolist(), len(drop)) for M in stack], dtype=object).reshape(Qff.shape)
@@ -95,15 +101,14 @@ def trace_on_subset(Q: np.ndarray, subset) -> np.ndarray:
 def harmonic_prolongation(Q: np.ndarray, subset, f) -> np.ndarray:
     """Extend f on F' to F with (Q Hf) = 0 off F' and Hf = f on F'.  On exact
     input Hf off F' is the Schur complement of [[Q_dd, Q_dk f], [I, 0]]."""
-    Q, keep, drop = _partition(np.asarray(Q), subset)
+    exact, (Q, f) = numeric(Q, f)
+    keep, drop = _partition(Q, subset)
     if Q.ndim != 2:
         raise ValueError("harmonic_prolongation takes one matrix, not a stack")
-    f = np.asarray(f)
     if f.shape[0] != len(keep):
         raise ValueError("f must live on the subset")
-    exact = Q.dtype == object
     out = np.empty(Q.shape[0], dtype=Q.dtype)  # keep and drop cover every index
-    out[keep] = [Fraction(v) for v in f] if exact else f
+    out[keep] = f
     g = Q[drop[:, None], keep] @ f.reshape(-1, 1)
     if exact:
         eye = np.eye(len(drop), len(drop) + 1, dtype=int)  # the [I, 0] rows

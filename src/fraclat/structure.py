@@ -34,8 +34,24 @@ def _as_weight(x) -> Fraction | float:
 
 
 def is_exact(values) -> bool:
-    """True when every value is an int or a Fraction (the exact pipelines)."""
-    return all(isinstance(v, (int, Fraction)) for v in values)
+    """True when every value is an int (Python or numpy) or a Fraction."""
+    return all(isinstance(v, (int, np.integer, Fraction)) for v in values)
+
+
+_to_fraction = np.frompyfunc(lambda v: v if isinstance(v, Fraction) else Fraction(int(v)), 1, 1)
+
+
+def numeric(*arrays) -> tuple[bool, tuple[np.ndarray, ...]]:
+    """The one arithmetic rule, over all the array inputs of a call together:
+    (True, object arrays of Fractions) when every entry passes is_exact, else
+    (False, float64 arrays, or complex128 ones when any entry is complex).
+    Float and complex ndarrays are neither scanned nor copied.  Past this
+    call object dtype means exact, the one test kernels downstream make."""
+    arrays = [np.asarray(a) for a in arrays]
+    if all(a.dtype.kind in "iu" or a.dtype == object and is_exact(a.flat) for a in arrays):
+        return True, tuple(np.asarray(_to_fraction(a), dtype=object) for a in arrays)
+    cplx = any(np.iscomplexobj(a) or a.dtype == object and any(map(np.iscomplexobj, a.flat)) for a in arrays)
+    return False, tuple(a.astype(complex if cplx else float, copy=False) for a in arrays)
 
 
 def _over_lcm(values) -> tuple[np.ndarray, int]:

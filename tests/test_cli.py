@@ -209,6 +209,17 @@ def test_invalid_base_operator_rejected(tmp_path):
                 "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize("triplet", [[0, 1, "1"], [1, 5, "1"]])
+def test_base_coupling_outside_the_cell_rejected(tmp_path, capsys, triplet):
+    # [0, 1] once wrapped to vertex 3 and completed the triangle; [1, 5] raised IndexError
+    base = {"a": [[1, 2, "1"], [2, 3, "1"], triplet], "b": [1, 1, 1]}
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base))
+    assert run(["spectrum", "--builtin", "gasket", "--level", "0", "--base", str(path),
+                "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
+    assert "error: base coupling" in capsys.readouterr().err
+
+
 def test_size_ceiling_exit_code(tmp_path):
     assert run(["spectrum", "--builtin", "interval:1/2", "--level", "14",
                 "--out", str(tmp_path)]) == EXIT_CEILING

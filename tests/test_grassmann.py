@@ -162,6 +162,19 @@ def test_exp_block_additivity():
         assert max_abs_coeff(lhs - rhs) <= 1e-10
 
 
+def test_relabel_moves_exp_q_by_its_images():
+    # relabel is the morphism of the generator map, so it takes exp_q(Q) to
+    # exp_q of Q with row and column x moved to images[x]: the sign of each
+    # monomial is checked against minors computed without relabel
+    rng = np.random.default_rng(21)
+    S = rng.integers(-3, 4, (4, 4))
+    Q = S + S.T
+    for images, n_out in [([0, 1, 2, 3], 4), ([2, 0, 3, 1], 4), ([3, 2, 1, 0], 4), ([5, 0, 3, 1], 6)]:
+        moved = np.zeros((n_out, n_out), dtype=int)
+        moved[np.ix_(images, images)] = Q
+        assert relabel(exp_q(Q), images, n_out).coeffs == exp_q(moved).coeffs
+
+
 def test_restrict_full_set_is_identity():
     rng = np.random.default_rng(7)
     X = rand_rational_elem(3, rng)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclat import schur
-from fraclat.grassmann import _det_exact, basis, exp_q_rows
+from fraclat.grassmann import _det_exact, basis, exp_q, exp_q_rows, nd_order
+from fraclat.renorm import RenormContext, t_map
 from fraclat.schur import (
     TracePoleError,
     _eliminate,
@@ -15,6 +16,7 @@ from fraclat.schur import (
     in_siegel_halfspace,
     trace_on_subset,
 )
+from fraclat.structure import builtin_interval, numeric
 
 
 def rand_spd(rng, n):
@@ -254,6 +256,46 @@ def test_integer_object_input_gives_fractions():
     assert type(_det_exact([[0, 1], [0, 1]])) is Fraction
     rows = exp_q_rows(np.array([[[1, 2], [2, 0]]]))
     assert all(type(v) is Fraction for v in rows.ravel())
+    # One rule for every entry point: int or Fraction entries throughout give
+    # Fractions; any other input float, or complex when any entry is complex.
+    ctx = RenormContext.build(builtin_interval())
+    Q2 = [[2, -1], [-1, 2]]
+    eye = np.eye(2, dtype=int)
+    cases = [
+        (np.array(Q2), Fraction),
+        (np.array([[2, Fraction(-1)], [-1, 2]], dtype=object), Fraction),
+        (np.array(Q2, dtype=float).astype(object), float),
+        (np.array([[2 + 1j, -1], [-1, 2]], dtype=object), complex),
+        (np.array(Q2, dtype=float), float),
+    ]
+
+    def check(got, kind, want):
+        got = np.asarray(got)
+        assert {type(v) for v in got.ravel().tolist()} == {kind}
+        assert got.dtype == {Fraction: object, float: np.float64, complex: np.complex128}[kind]
+        assert np.allclose(got.astype(complex), np.asarray(want, dtype=complex), rtol=1e-14, atol=0)
+        if kind is Fraction:
+            assert got.tolist() == np.asarray(want, dtype=object).tolist()
+
+    for Q, kind in cases:
+        z = 1j if kind is complex else 0  # the one complex entry sits at Q[0, 0]
+        check(trace_on_subset(Q, [0]), kind, [[Fraction(3, 2) + z]])
+        check(harmonic_prolongation(Q, [0], [1]), kind, [1, Fraction(1, 2)])
+        E = exp_q(Q)  # the unit, the entries of Q and det Q with the interleaving sign -1
+        check([E[I, J] for I, J in basis(2)], kind, [1, 2 + z, -1, -1, 2, -3 - 2 * z])
+        T = t_map(ctx, Q)
+        if kind is Fraction:
+            check(T, Fraction, [[Fraction(7, 4), Fraction(-1, 4)], [Fraction(-1, 4), Fraction(7, 4)]])
+            assert nd_order(Q - eye, eye, []) == 1
+        else:
+            assert T.dtype == np.complex128  # t_map keeps complex on its float path
+            with pytest.raises(ValueError, match="exact"):
+                nd_order(Q - eye, eye, [])
+    # a float Q with a complex f: the imaginary part is kept
+    check(harmonic_prolongation(np.array(Q2, dtype=float), [0], [1j]), complex, [1j, 0.5j])
+    F = np.array(Q2, dtype=float)
+    for A in (F, F.astype(complex)):  # float and complex ndarrays are not copied
+        assert numeric(A)[1][0] is A
 
 
 def test_prolongation_takes_one_matrix():

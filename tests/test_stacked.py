@@ -15,7 +15,7 @@ import pytest
 
 from fraclat import grassmann as gr
 from fraclat.renorm import RenormContext, level_matrix, t_iterate, t_map
-from fraclat.schur import TracePoleError, trace_on_subset
+from fraclat.schur import TracePoleError, harmonic_prolongation, trace_on_subset
 from fraclat.structure import build_level
 from test_weighted_and_permuted import STRUCTURES
 
@@ -118,9 +118,14 @@ def test_repeated_or_out_of_range_index_refused():
         with pytest.raises(ValueError):
             trace_on_subset(Q, subset)
     X = gr.exp_q(Q)
-    for subset in ([0, 2, 0], [1, 4]):
-        with pytest.raises(ValueError):
+    for subset in ([0, 2, 0], [1, 4], [-1, 2]):
+        with pytest.raises(ValueError, match="distinct indices"):
             gr.restrict(X, subset)
+    # a 0-d Q is refused as not square before its shape is indexed
+    with pytest.raises(ValueError, match="square"):
+        trace_on_subset(np.array(1.0), [])
+    with pytest.raises(ValueError, match="square"):
+        harmonic_prolongation(np.array(1.0), [], [])
 
 
 def test_ordered_restrict_is_sorted_restrict_relabelled():
