@@ -105,7 +105,7 @@ def harmonic_prolongation(Q: np.ndarray, subset, f) -> np.ndarray:
     keep, drop = _partition(Q, subset)
     if Q.ndim != 2:
         raise ValueError("harmonic_prolongation takes one matrix, not a stack")
-    if f.shape[0] != len(keep):
+    if f.shape != (len(keep),):
         raise ValueError("f must live on the subset")
     out = np.empty(Q.shape[0], dtype=Q.dtype)  # keep and drop cover every index
     out[keep] = f

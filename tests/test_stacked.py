@@ -126,6 +126,9 @@ def test_repeated_or_out_of_range_index_refused():
         trace_on_subset(np.array(1.0), [])
     with pytest.raises(ValueError, match="square"):
         harmonic_prolongation(np.array(1.0), [], [])
+    for f in (1.0, [[1.0]]):  # f is one value per kept index
+        with pytest.raises(ValueError, match="f must live"):
+            harmonic_prolongation(np.eye(2), [0], f)
 
 
 def test_ordered_restrict_is_sorted_restrict_relabelled():
