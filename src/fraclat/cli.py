@@ -277,7 +277,6 @@ def cmd_green(args) -> int:
                "grid": [args.re_min, args.re_max, args.re_steps,
                         args.im_min, args.im_max, args.im_steps],
                "nmax": args.nmax}
-    write = _writer(args, payload)
     grid = [
         (re, im)
         for im in np.linspace(args.im_min, args.im_max, args.im_steps)
@@ -285,7 +284,7 @@ def cmd_green(args) -> int:
     ]
     ests = green_of_phi_batch(ctx, base, [complex(re, im) for re, im in grid], n_max=args.nmax)
     rows = [(re, im, e.value, e.iterations, e.tail_bound) for (re, im), e in zip(grid, ests)]
-    write(
+    _writer(args, payload)(
         f"{spec.name}_green.csv",
         "re_lambda,im_lambda,value,iters,tail",
         rows,

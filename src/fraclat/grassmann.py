@@ -26,7 +26,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import schur
-from .structure import numeric
+from .structure import _over_lcm, numeric
 
 MAX_GENERATORS = 16
 
@@ -325,7 +325,7 @@ def nd_order(Q0, B, subset) -> int:
     """Order of vanishing at 0 of lambda -> restrict(exp_q(Q0 - lambda B), F').
 
     Exact path: every coefficient is a polynomial in lambda of degree <= |F|,
-    recovered by Newton interpolation at integer nodes; the order equals
+    recovered by Newton interpolation at t = 0..|F|; the order equals
     dim{f in ker Q0 : f vanishes on F'}.  Q0 and B must be exact.
     """
     exact, (Q0, B) = numeric(Q0, B)
@@ -333,39 +333,47 @@ def nd_order(Q0, B, subset) -> int:
         raise ValueError("nd_order needs exact rational Q0 and B")
     n = Q0.shape[0]
     keep = sorted(set(int(i) for i in subset))
-    nodes = [Fraction(t) for t in range(n + 1)]
-    x = exp_q_rows(np.stack([Q0 - t * B for t in nodes]))
-    return vanishing_order(nodes, rows([restrict(GrassmannElement.from_row(n, r), keep) for r in x]))
+    x = exp_q_rows(np.stack([Q0 - t * B for t in range(n + 1)]))
+    return vanishing_order(rows([restrict(GrassmannElement.from_row(n, r), keep) for r in x]))
 
 
-def vanishing_order(nodes, x) -> int:
-    """Order of vanishing at 0 of lambda -> X(lambda), from the exact rows
-    x[k] = X(nodes[k]) of an element whose coefficients are polynomials of
-    degree < len(nodes): the minimum over all coordinates of the order of
-    the interpolating polynomial, or len(nodes) when every sample is zero."""
-    order = len(nodes)
-    for column in np.asarray(x).T:
+def vanishing_order(x) -> int:
+    """Order of vanishing at 0 of lambda -> X(lambda) from the exact rows
+    x[t] = X(t), t = 0..len(x)-1, of an element of degree < len(x) (len(x)
+    when every sample is 0).  The rows are cleared to integers once: a
+    common denominator changes no order."""
+    x = np.asarray(x)
+    order = len(x)
+    for column in _over_lcm(x.ravel())[0].reshape(x.shape).T:
         if any(column):
-            poly = _newton_coeffs(nodes, list(column))
+            poly = _newton_coeffs(list(column))
             order = min(order, next(p for p, c in enumerate(poly) if c != 0))
             if order == 0:
                 break
     return order
 
 
-def _newton_coeffs(xs, ys) -> list:
-    """Exact coefficients (ascending powers) of the interpolating polynomial."""
-    k = len(xs)
-    dd = list(ys)
-    for level in range(1, k):
-        for i in range(k - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
+def _differences(ys) -> list:
+    """[Delta^L y_0 for L = 0..len(ys)-1] of the values (or rows) ys[t]."""
+    out, d = [], list(ys)
+    while d:
+        out.append(d[0])
+        d = [b - a for a, b in zip(d, d[1:])]
+    return out
+
+
+def _newton_coeffs(ys, den=1) -> list[Fraction]:
+    """Exact coefficients (ascending powers) of the polynomial of degree < k
+    through (t, ys[t] / den), t = 0..k-1, for int (or exact) ys.  Its Newton
+    coefficients Delta^L y_0 / L!, scaled by (k-1)!/L!, keep the Horner
+    expansion in integers; each result is divided once, by (k-1)! den."""
+    diffs, coeffs, scale = _differences(ys), [], 1  # scale = (k-1)!/i!
     # Horner expansion of the Newton form; after step i the polynomial has
     # k - i coefficients, so only that live prefix is updated.
-    coeffs: list = []
-    for i in range(k - 1, -1, -1):
-        new = [dd[i]] + coeffs
+    for i in range(len(ys) - 1, -1, -1):
+        new = [diffs[i] * scale] + coeffs
         for p, c in enumerate(coeffs):
-            new[p] -= xs[i] * c
+            new[p] -= i * c
         coeffs = new
-    return coeffs
+        scale *= i or 1
+    return [Fraction(c, scale * den) for c in coeffs]

@@ -22,9 +22,9 @@ from . import grassmann as gr
 from .dynamics import COEFF_BIT_LIMIT
 from .grassmann import GrassmannElement
 from .operator import BaseOperator, assemble, cell_sums, check_lattice, sums_exact
-from .schur import in_siegel_halfspace, trace_on_subset
+from .schur import _trace_classified, in_siegel_halfspace, trace_on_subset  # noqa: F401 (re-exported)
 from .spectral import AtomicMeasure, nd_nullity, nd_spectrum
-from .structure import LatticeLevel, StructureSpec, build_level, is_exact, numeric
+from .structure import LatticeLevel, StructureSpec, _over_lcm, build_level, is_exact, numeric
 
 
 @dataclass(frozen=True)
@@ -92,25 +92,36 @@ class RTensor:
     """R as a sparse homogeneous polynomial of degree N on the coefficient
     row x of the base-cell algebra (coordinates of grassmann.basis(N0)):
 
-        R(x)[out_t] += coef_t * x[idx_t0] * x[idx_t1] * ... * x[idx_t(N-1)]
+        R(x)[out_t] += coef_t / den * x[idx_t0] * x[idx_t1] * ... * x[idx_t(N-1)]
 
     Terms are sorted by output coordinate: ``starts`` holds the first term
     of each nonzero output coordinate and ``outputs`` that coordinate.
     """
 
     idx: np.ndarray  # (terms, N) coordinate of each factor
-    coef: np.ndarray  # (terms,) exact when the energy weights are
+    coef: np.ndarray  # Python-int numerators over den when exact, else floats over 1
+    den: int
     coef_float: np.ndarray
     starts: np.ndarray
     outputs: np.ndarray
     exact: bool
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """R on every row of the (B, D) array x; exact rows stay exact only
-        when the tensor is."""
+        """R on every row of the (B, D) array x.  Exact rows stay exact when
+        the tensor is: apply_int on their int numerators, divided once."""
         if x.dtype == object and not self.exact:
             x = x.astype(float)
-        coef = self.coef if x.dtype == object else self.coef_float
+        if x.dtype != object:
+            return self._product(x, self.coef_float)
+        num, d = _over_lcm(x.ravel())
+        y, d = self.apply_int(num.reshape(x.shape), d)
+        return np.array([Fraction(v, d) for v in y.ravel()], dtype=object).reshape(y.shape)
+
+    def apply_int(self, x: np.ndarray, d: int) -> tuple[np.ndarray, int]:
+        """(y, den * d**N) with y / (den * d**N) = R(x / d), for int rows x."""
+        return self._product(x, self.coef), self.den * d ** self.idx.shape[1]
+
+    def _product(self, x: np.ndarray, coef: np.ndarray) -> np.ndarray:
         prod = coef * x[:, self.idx[:, 0]]
         for col in self.idx.T[1:]:
             prod = prod * x[:, col]
@@ -173,19 +184,19 @@ def compile_r(ctx: RenormContext) -> RTensor:
     extend(0, 0, 0, 1, ())
     terms.sort(key=lambda t: t[0])
     out = np.array([t[0] for t in terms], dtype=np.intp)
-    coef = np.empty(len(terms), dtype=object)
-    coef[:] = [t[2] for t in terms]
+    values, exact = [t[2] for t in terms], is_exact(scalings)
+    coef, den = _over_lcm(values) if exact else (np.array(values, dtype=float), 1)
     starts = np.flatnonzero(np.diff(out, prepend=-1))
     arrays = dict(
         idx=np.array([t[1] for t in terms], dtype=np.intp).reshape(len(terms), N),
         coef=coef,
-        coef_float=coef.astype(float),
+        coef_float=np.array([float(c) for c in values]),
         starts=starts,
         outputs=out[starts],
     )
     for a in arrays.values():
         a.setflags(write=False)
-    return RTensor(exact=is_exact(scalings), **arrays)
+    return RTensor(den=den, exact=exact, **arrays)
 
 
 def symmetric_commutant_basis(spec: StructureSpec) -> tuple[np.ndarray, ...]:
@@ -267,7 +278,7 @@ def t_map(ctx: RenormContext, Q: np.ndarray) -> np.ndarray:
     Q = np.asarray(Q)
     if Q.shape[-2:] != (ctx.spec.N0, ctx.spec.N0):
         raise ValueError("Q must act on the base cell")
-    return trace_on_subset(level_matrix(ctx, Q), ctx.level1.boundary)
+    return _trace_classified(level_matrix(ctx, Q), ctx.level1.boundary)
 
 
 def t_iterate(ctx: RenormContext, Q: np.ndarray, n: int) -> np.ndarray:
@@ -335,6 +346,8 @@ def green_batch(ctx: RenormContext, x: np.ndarray, n_max: int = 40) -> list[Gree
     iterate falls under ZERO_NORM_FLOOR at step k stops there (value -inf,
     k+1 iterations) and is left out of later steps.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     N = ctx.spec.N
     x = np.asarray(x, dtype=complex)
     nrm = np.sqrt(np.sum(np.abs(x) ** 2, axis=1))
@@ -366,13 +379,8 @@ def green_batch(ctx: RenormContext, x: np.ndarray, n_max: int = 40) -> list[Gree
     for b in range(B):
         hist = history[: iterations[b] - hit_zero[b], b]
         tail = 0.0 if hit_zero[b] else float(np.max(np.abs(hist), initial=0.0)) / (N**n_max * (N - 1))
-        out.append(GreenEstimate(
-            value=float(value[b]),
-            iterations=int(iterations[b]),
-            tail_bound=tail,
-            log_norm_history=tuple(hist.tolist()),
-            hit_zero=bool(hit_zero[b]),
-        ))
+        out.append(GreenEstimate(float(value[b]), int(iterations[b]), tail, tuple(hist.tolist()),
+                                 bool(hit_zero[b])))
     return out
 
 
@@ -412,34 +420,38 @@ def harmonicity_residual(
 
 
 def _exact_r_samples(ctx: RenormContext, base: BaseOperator, n: int, deg: int, shift=0):
-    """Integer nodes 0..deg and the rows of R^n(phi(node - shift)), exactly."""
-    if not base.exact or not is_exact(ctx.spec.alpha):
+    """(x, D): Python-int rows with x[t] / D = R^n(phi(t - shift)), t = 0..deg.
+    Each coordinate of phi(t) is a minor of A - t diag(b), of degree <= N0,
+    so phi is taken at t <= N0 only and extended by Newton's forward formula."""
+    if not base.exact or not is_exact((*ctx.spec.alpha, shift)):
         raise ValueError("exact polynomials need exact rational inputs")
-    nodes = [Fraction(t) for t in range(deg + 1)]
-    x = phi_rows(base, [t - shift for t in nodes])
+    phis = phi_rows(base, [t - shift for t in range(min(deg, ctx.spec.N0) + 1)])
+    num, d = _over_lcm(phis.ravel())
+    diffs = gr._differences(num.reshape(phis.shape))
+    x = np.array([sum(math.comb(t, L) * row for L, row in enumerate(diffs)) for t in range(deg + 1)])
     for _ in range(n):
-        x = ctx.r.apply(x)
-    return nodes, x
+        x, d = ctx.r.apply_int(x, d)
+    return x, d
 
 
 def dirichlet_poly(ctx: RenormContext, base: BaseOperator, n: int) -> list[Fraction]:
     """Coefficients (ascending) of lambda -> <R^n(phi(lambda)), 1>.
 
-    Exact rational path; the roots are the pencil eigenvalues of the
-    Dirichlet problem at level n (the negatives of the reported spectrum),
-    each with its multiplicity.
+    Exact path, in integers (_exact_r_samples, grassmann._newton_coeffs);
+    the roots are the Dirichlet pencil eigenvalues at level n (the negatives
+    of the reported spectrum), each with its multiplicity.
     """
-    nodes, x = _exact_r_samples(ctx, base, n, ctx.vertex_count(n) - ctx.spec.N0)
-    return gr._newton_coeffs(nodes, list(x[:, 0]))
+    x, d = _exact_r_samples(ctx, base, n, ctx.vertex_count(n) - ctx.spec.N0)
+    return gr._newton_coeffs(x[:, 0].tolist(), d)
 
 
 def neumann_poly(ctx: RenormContext, base: BaseOperator, n: int) -> list[Fraction]:
     """Coefficients of lambda -> <R^n(phi(lambda)), prod etabar eta>; roots are
     the Neumann pencil eigenvalues at level n.  prod etabar eta is the top
     monomial (the last coordinate) up to the interleaving sign."""
-    nodes, x = _exact_r_samples(ctx, base, n, ctx.vertex_count(n))
+    x, d = _exact_r_samples(ctx, base, n, ctx.vertex_count(n))
     sign = gr._interleave_sign(ctx.spec.N0)
-    return gr._newton_coeffs(nodes, [sign * v for v in x[:, -1]])
+    return gr._newton_coeffs([sign * v for v in x[:, -1]], d)
 
 
 # -- order of vanishing / N-D multiplicities ---------------------------------------
@@ -457,12 +469,10 @@ def rho_n_vanishing_order(ctx: RenormContext, base: BaseOperator, lam0, n: int) 
     """Cross-check of rho_n: exact order of vanishing at lam=0 of
     lambda -> R^n(exp_q(A + lam0 diag(b) - lambda diag(b))).
 
-    The shifted operator line hits the eigenvalue at lambda = 0; feasible
-    for small n only (exact Grassmann iteration).
+    The shifted operator line hits the eigenvalue at lambda = 0; lam0 must be
+    rational, and n small (exact Grassmann iteration).
     """
-    if not is_exact((lam0,)):
-        raise ValueError("exact path needs rational lam0")
-    return gr.vanishing_order(*_exact_r_samples(ctx, base, n, ctx.vertex_count(n), Fraction(lam0)))
+    return gr.vanishing_order(_exact_r_samples(ctx, base, n, ctx.vertex_count(n), lam0)[0])
 
 
 def mu_nd_estimate(ctx: RenormContext, base: BaseOperator, n: int, **kw) -> AtomicMeasure:

@@ -85,10 +85,14 @@ def _interior_solve(Qdd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def trace_on_subset(Q: np.ndarray, subset) -> np.ndarray:
     """Schur complement of Q, or of every matrix of a (..., n, n) stack, onto
     the index subset, in the order the subset lists it."""
-    exact, (Q,) = numeric(Q)
+    return _trace_classified(numeric(Q)[1][0], subset)
+
+
+def _trace_classified(Q: np.ndarray, subset) -> np.ndarray:
+    """trace_on_subset of an array structure.numeric has classified."""
     keep, drop = _partition(Q, subset)
     Qff = Q[..., keep[:, None], keep]
-    if exact and len(keep):  # each matrix reordered dropped-then-kept
+    if Q.dtype == object and len(keep):  # each matrix reordered dropped-then-kept
         order = np.concatenate([drop, keep])
         stack = Q[..., order[:, None], order].reshape(-1, len(order), len(order))
         return np.array([_complement(M.tolist(), len(drop)) for M in stack], dtype=object).reshape(Qff.shape)

@@ -111,6 +111,14 @@ def test_green_scan(tmp_path):
     assert len(content) == 2 + 6
 
 
+@pytest.mark.parametrize("nmax", ["0", "-1"])
+def test_green_refuses_no_steps(tmp_path, capsys, nmax):
+    out = tmp_path / "out"
+    assert run(["green", "--builtin", "gasket", "--nmax", nmax, "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert "error: n_max must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_green_default_window_spans_the_spectrum(tmp_path):
     # green takes the pencil variable: the gasket Laplacian's spectrum, negated, in [0, 6]
     assert run(["green", "--builtin", "gasket", "--out", str(tmp_path)]) == EXIT_OK

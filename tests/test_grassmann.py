@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from fraclat.grassmann import (
     scalar_product,
 )
 from fraclat.schur import trace_on_subset
+from fraclat.structure import _over_lcm
 
 
 def balanced_keys(n):
@@ -308,16 +310,29 @@ def test_exp_q_rows_exact_stack():
     assert x[0, -1] == -(Fraction(1, 2) * Fraction(-2, 5) - 9)
 
 
+def sympy_interpolation(ys, den=1):
+    """Independent route: sympy's Lagrange interpolating polynomial through
+    (t, ys[t] / den), t = 0..k-1, as ascending Fractions."""
+    k, t = len(ys), sympy.Symbol("t")
+    values = [sympy.Rational(Fraction(y).numerator, Fraction(y).denominator * den) for y in ys]
+    poly = sympy.poly(sympy.interpolating_poly(k, t, list(range(k)), values), t, domain="QQ")
+    want = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    return want + [Fraction(0)] * (k - len(want))
+
+
 def test_newton_coeffs_against_sympy_interpolation():
-    # independent route: sympy's Lagrange interpolating polynomial
-    rng = np.random.default_rng(5)
-    t = sympy.Symbol("t")
-    for k in (1, 2, 5, 9):
-        xs = sorted({Fraction(int(rng.integers(-40, 40)), int(rng.integers(1, 7))) for _ in range(3 * k)})[:k]
-        ys = [Fraction(int(rng.integers(-50, 50)), int(rng.integers(1, 9))) for _ in xs]
-        pts = [(sympy.Rational(a.numerator, a.denominator), sympy.Rational(b.numerator, b.denominator))
-               for a, b in zip(xs, ys)]
-        poly = sympy.Poly(sympy.interpolating_poly(k, t, *zip(*pts)), t)
-        want = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
-        want += [Fraction(0)] * (k - len(want))
-        assert _newton_coeffs(xs, ys) == want
+    # the nodes every caller passes, t = 0..k-1, with small rational values,
+    # values of more than 200 digits over and under the bar (cleared to ints
+    # over their common denominator, as the callers pass them), and int
+    # values over a denominator den > 1
+    for k in (1, 2, 5, 9, 40):
+        rng, big = np.random.default_rng(5 + k), random.Random(k)
+        small = [Fraction(int(rng.integers(-50, 50)), int(rng.integers(1, 9))) for _ in range(k)]
+        assert _newton_coeffs(small) == sympy_interpolation(small)
+        huge = [Fraction(big.choice((-1, 1)) * big.randrange(10**200, 10**210), big.randrange(10**200, 10**210))
+                for _ in range(k)]
+        assert all(len(str(abs(y.numerator))) > 200 and len(str(y.denominator)) > 200 for y in huge)
+        num, den = _over_lcm(huge)
+        assert _newton_coeffs(list(num), den) == sympy_interpolation(huge)
+        ints, den = [big.randrange(-10**60, 10**60) for _ in range(k)], 3**40 * 7
+        assert _newton_coeffs(ints, den) == sympy_interpolation(ints, den)

@@ -11,10 +11,11 @@ import pytest
 
 from fraclat import grassmann as gr
 from fraclat.grassmann import GrassmannElement
-from fraclat.operator import laplacian_base
+from fraclat.operator import BaseOperator, laplacian_base
 from fraclat.renorm import (
     ZERO_NORM_FLOOR,
     RenormContext,
+    _exact_r_samples,
     dirichlet_poly,
     green_batch,
     green_estimate,
@@ -24,6 +25,7 @@ from fraclat.renorm import (
     phi_rows,
     r_map,
     rho_n_vanishing_order,
+    symmetric_commutant_basis,
 )
 from fraclat.structure import builtin_interval, cell_weights
 from test_weighted_and_permuted import STRUCTURES
@@ -69,15 +71,14 @@ def green_reference(ctx, X, n_max):
 
 def poly_reference(ctx, base, n, which):
     deg = ctx.vertex_count(n) - (ctx.spec.N0 if which == "dirichlet" else 0)
-    nodes = [Fraction(t) for t in range(deg + 1)]
     values = []
-    for t in nodes:
+    for t in range(deg + 1):
         X = phi(base, t)
         for _ in range(n):
             X = r_map_reference(ctx, X)
         values.append(X.unit_coefficient if which == "dirichlet" else X.top_coefficient)
     sign = gr._interleave_sign(ctx.spec.N0) if which == "neumann" else 1
-    return gr._newton_coeffs(nodes, [sign * v for v in values])
+    return gr._newton_coeffs([sign * v for v in values])
 
 
 @pytest.fixture(scope="module", params=list(STRUCTURES))
@@ -106,11 +107,52 @@ def test_r_map_exact_matches_reference(ctx):
         assert r_map(ctx, X).coeffs == r_map_reference(ctx, X).coeffs
 
 
+def rational_base(spec, seed=26):
+    """A G-invariant base with rational couplings and weights: one seeded
+    value per group orbit of index pairs (symmetric_commutant_basis)."""
+    rng = np.random.default_rng(seed)
+    values = (Fraction(3, 2), Fraction(4, 5), Fraction(5, 3), Fraction(2, 7))
+    n0 = spec.N0
+    a, b = [[Fraction(0)] * n0 for _ in range(n0)], [None] * n0
+    for M in symmetric_commutant_basis(spec):
+        v = values[rng.integers(len(values))]
+        for x, y in np.argwhere(M != 0):
+            if x == y:
+                b[x] = v
+            else:
+                a[x][y] = v
+    return BaseOperator(a=tuple(map(tuple, a)), b=tuple(b))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_polys_match_reference(ctx, n):
-    base = laplacian_base(ctx.spec)
-    assert dirichlet_poly(ctx, base, n) == poly_reference(ctx, base, n, "dirichlet")
-    assert neumann_poly(ctx, base, n) == poly_reference(ctx, base, n, "neumann")
+    rational = rational_base(ctx.spec)
+    assert rational.is_group_invariant(ctx.spec)
+    assert _exact_r_samples(ctx, rational, 0, 0)[1] > 1  # phi's rows carry a denominator
+    for base in (laplacian_base(ctx.spec), rational):
+        assert dirichlet_poly(ctx, base, n) == poly_reference(ctx, base, n, "dirichlet")
+        assert neumann_poly(ctx, base, n) == poly_reference(ctx, base, n, "neumann")
+
+
+def test_exact_paths_refuse_float_inputs(gasket_ctx, gasket_base):
+    float_base = BaseOperator(a=gasket_base.a, b=(1.0,) * 3)
+    float_ctx = RenormContext.build(builtin_interval(0.5))
+    for call in (
+        lambda: dirichlet_poly(gasket_ctx, float_base, 1),
+        lambda: neumann_poly(float_ctx, laplacian_base(float_ctx.spec), 1),
+        lambda: rho_n_vanishing_order(gasket_ctx, gasket_base, -3.0, 1),
+    ):
+        with pytest.raises(ValueError, match="exact"):
+            call()
+
+
+def test_doubled_weights_halve_the_vanishing_points(gasket_ctx, gasket_base):
+    # A v = mu b v: doubling b halves every eigenvalue, so the unit base's
+    # orders 3 at -3 and 1 at -5/2 move to -3/2 and -5/4 (level 2)
+    doubled = BaseOperator(a=gasket_base.a, b=(Fraction(2),) * 3)
+    for lam0, order in ((Fraction(-3), 3), (Fraction(-5, 2), 1)):
+        assert rho_n_vanishing_order(gasket_ctx, gasket_base, lam0, 2) == order
+        assert rho_n_vanishing_order(gasket_ctx, doubled, lam0 / 2, 2) == order
 
 
 def assert_green_equal(est, ref):
@@ -165,4 +207,4 @@ def test_batches_make_one_stacked_exp_q_call(gasket_ctx, gasket_base, monkeypatc
     dirichlet_poly(gasket_ctx, gasket_base, 1)
     neumann_poly(gasket_ctx, gasket_base, 1)
     rho_n_vanishing_order(gasket_ctx, gasket_base, Fraction(-3), 1)
-    assert calls == [2, 4, 7, 7]
+    assert calls == [2, 4, 4, 4]  # the polys evaluate phi at N0 + 1 = 4 points

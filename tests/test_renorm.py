@@ -13,6 +13,7 @@ from fraclat.renorm import (
     dirichlet_poly,
     gasket_coords,
     gasket_matrix,
+    green_batch,
     green_estimate,
     green_of_phi,
     harmonicity_residual,
@@ -21,6 +22,7 @@ from fraclat.renorm import (
     mu_nd_estimate,
     neumann_poly,
     phi,
+    phi_rows,
     r_iterate,
     r_map,
     random_siegel_sample,
@@ -296,6 +298,15 @@ def test_mu_nd_estimate_frozen(gasket_ctx, gasket_base):
 def test_green_rejects_zero(gasket_ctx):
     with pytest.raises(ValueError):
         green_estimate(gasket_ctx, GrassmannElement.zero(3))
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_green_refuses_fewer_than_one_step(gasket_ctx, gasket_base, n_max):
+    # with no R step the estimate is ln||phi||, 3.199 at -1+0.25i where the
+    # limit is 2.584, and its tail bound would read 0
+    x = phi_rows(gasket_base, [complex(-1, 0.25)])
+    with pytest.raises(ValueError, match="n_max"):
+        green_batch(gasket_ctx, x, n_max)
 
 
 def test_green_homogeneity(gasket_ctx):
