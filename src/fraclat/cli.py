@@ -140,6 +140,14 @@ def _add_common(p, base_opt=True):
     p.add_argument("--out", default=".", help="output directory")
 
 
+def _positive_int(text: str) -> int:
+    """A count of steps or points: a run with none would check or write nothing."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parse_args leaves it unchanged)."""
@@ -166,7 +174,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dos", help="normalized density-of-states CDF samples")
     _add_common(p)
     p.add_argument("--level", type=int, default=3)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_positive_int, default=200)
 
     p = sub.add_parser(
         "green",
@@ -179,10 +187,10 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--re-min", type=float, default=-1.0)
     p.add_argument("--re-max", type=float, default=6.0)
-    p.add_argument("--re-steps", type=int, default=29)
+    p.add_argument("--re-steps", type=_positive_int, default=29)
     p.add_argument("--im-min", type=float, default=0.25)
     p.add_argument("--im-max", type=float, default=1.0)
-    p.add_argument("--im-steps", type=int, default=4)
+    p.add_argument("--im-steps", type=_positive_int, default=4)
     p.add_argument("--nmax", type=int, default=40)
 
     p = sub.add_parser("gasket-measure", help="closed-form limit measure vs nu^ND")
@@ -193,10 +201,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degrees", help="degree tables and dichotomy verdict")
     _add_common(p, base_opt=False)
-    p.add_argument("--n", type=int, default=3, help="iterations for degree sequences")
+    p.add_argument("--n", type=_positive_int, default=3, help="iterations for degree sequences")
 
     p = sub.add_parser("decimation", help="spectral-decimation containment diagnostic")
-    p.add_argument("--n", type=int, default=3, help="max level (checks n -> n+1 pairs)")
+    p.add_argument("--n", type=_positive_int, default=3, help="max level (checks n -> n+1 pairs)")
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--out", default=".")
 
@@ -342,8 +350,6 @@ def _builtin_shape(spec: StructureSpec) -> str | None:
 
 
 def cmd_degrees(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
     spec = _load_structure(args)
     shape = _builtin_shape(spec)
     if shape is None:

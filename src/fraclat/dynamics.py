@@ -1,10 +1,11 @@
 """Explicit renormalization dynamics: the gasket and interval maps, the
 closed-form gasket limit measure, and exact degree bookkeeping.
 
-Every map is a tuple of polynomials in one of sympy's sparse rings over QQ:
-QQ[z] for rational maps of the line, QQ[u0, v0, u1, v1] for P1 x P1 and
-QQ[a, d, q] for the interval lift. Composition is `PolyElement.compose`, and
-each iterate is divided by the gcd of its components (`_reduced`). Degree
+Every map is a `RationalMap`: homogeneous coordinates per factor, polynomials
+in one of sympy's sparse rings over QQ: QQ[z, w] for maps of P1,
+QQ[u0, v0, u1, v1] for P1 x P1 and QQ[a, d, q] for the interval lift on P2.
+Composition is `PolyElement.compose`, and each factor of an iterate is
+divided by the gcd of its coordinates (`_reduced`). Degree
 growth of the reduced iterates yields the dynamical degree d_infty, which
 classifies the spectral dichotomy: d_infty < N forces the N-D eigenvalues to
 carry the whole density of states, d_infty = N generically kills them.
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import accumulate, chain
 
 import numpy as np
 from sympy import QQ
@@ -35,20 +37,20 @@ def _qq(x):
     return QQ(f.numerator, f.denominator)
 
 
-def _degree(p: PolyElement, block: slice = slice(None)) -> int:
-    """Total degree of p in the generators of `block` (all by default)."""
+def _degree(p: PolyElement, block: slice) -> int:
+    """Total degree of p in the generators of `block`."""
     return max((sum(m[block]) for m in p.itermonoms()), default=0)
 
 
-def _reduced(polys: tuple, blocks: tuple = ()) -> tuple:
+def _reduced(polys: tuple, blocks: tuple) -> tuple:
     """Divide polys by their common (monic) gcd; raise CoefficientBlowup when
     a coefficient's numerator and denominator together exceed COEFF_BIT_LIMIT
     bits.
 
-    Polynomials homogeneous in each generator block of `blocks` take the gcd
-    on the affine chart where each block's last generator is 1: a gcd of
-    forms is the chart gcd made homogeneous again, times the common power of
-    the chart generators. The chart has fewer variables, which makes the gcd
+    The polynomials are homogeneous in each generator block of `blocks`, so
+    the gcd is taken on the affine chart where each block's last generator
+    is 1: a gcd of forms is the chart gcd made homogeneous again, times the
+    common power of the chart generators. The chart has fewer variables, which makes the gcd
     far cheaper: at the fourth gasket bidegree step it takes 0.002 s, against
     8 s in all four variables (2-core Xeon VM).
     """
@@ -79,78 +81,17 @@ def _reduced(polys: tuple, blocks: tuple = ()) -> tuple:
     return polys
 
 
-def _check_steps(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"need at least one iterate, got n = {n}")
+# -- rational maps of products of projective spaces -----------------------------
 
 
-# -- one-dimensional rational maps ---------------------------------------------
-
-
-_Z = ring("z", QQ)[0]
-_ZW, _z, _w = ring("z w", QQ)  # homogeneous coordinates, for composition
-
-
-@dataclass(frozen=True)
-class RationalMap1D:
-    """Reduced rational self-map of the line in QQ[z], monic denominator."""
-
-    numerator: PolyElement
-    denominator: PolyElement
-
-    @classmethod
-    def from_coeffs(cls, num, den) -> "RationalMap1D":
-        """Coefficients in ascending order (constant term first)."""
-        P, Q = (_Z({(i,): _qq(c) for i, c in enumerate(cs)}) for cs in (num, den))
-        return cls._reduced(P, Q)
-
-    @classmethod
-    def _reduced(cls, P: PolyElement, Q: PolyElement) -> "RationalMap1D":
-        if not Q:
-            raise ZeroDivisionError("zero denominator")
-        return cls(*_reduced((P.quo_ground(Q.LC), Q.monic())))
-
-    @property
-    def degree(self) -> int:
-        return max(_degree(self.numerator), _degree(self.denominator))
-
-    def __call__(self, x):
-        x = _qq(x)
-        return self.numerator(x) / self.denominator(x)
-
-    def compose(self, other: "RationalMap1D") -> "RationalMap1D":
-        """self after other: with self = P/Q of degree d and other = A/B,
-        P(A/B) B^d over Q(A/B) B^d, gcd-reduced."""
-        d = self.degree
-        sub = [(_z, other.numerator.set_ring(_ZW)), (_w, other.denominator.set_ring(_ZW))]
-        P, Q = (
-            _ZW({(i, d - i): c for (i,), c in p.iterterms()}).compose(sub).set_ring(_Z)
-            for p in (self.numerator, self.denominator)
-        )
-        return self._reduced(P, Q)
-
-
-def compose_reduce_1d(f: RationalMap1D, n: int) -> tuple[RationalMap1D, list[int]]:
-    """Iterate with reduction; returns (f^n reduced, [deg f^1 .. deg f^n])."""
-    _check_steps(n)
-    degrees = [f.degree]
-    cur = f
-    while len(degrees) < n:
-        cur = f.compose(cur)
-        degrees.append(cur.degree)
-    return cur, degrees
-
-
-# -- biprojective maps (P1 x P1) -------------------------------------------------
-
-
-_UV, U0, V0, U1, V1 = ring("u0 v0 u1 v1", QQ)
-_BLOCKS = (slice(0, 2), slice(2, 4))
+_ZW = ring("z w", QQ)[0]  # P1
+U0, V0, U1, V1 = ring("u0 v0 u1 v1", QQ)[1:]  # P1 x P1
+_A, _D, _Q = ring("a d q", QQ)[1:]  # P2, the interval lift
 
 
 @dataclass(frozen=True)
 class DegreeMatrix:
-    """Bidegrees d[i][j] = degree of pair j in variable block i."""
+    """Degrees d[i][j] of factor j in variable block i."""
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -159,56 +100,94 @@ class DegreeMatrix:
         w = np.linalg.eigvals(np.asarray(self.entries, dtype=float))
         return float(np.max(np.abs(w)))
 
-    def __le__(self, other: "DegreeMatrix") -> bool:
-        return all(
-            a <= b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
-        )
-
-    def matmul(self, other: "DegreeMatrix") -> "DegreeMatrix":
-        A = np.asarray(self.entries, dtype=object)
-        B = np.asarray(other.entries, dtype=object)
-        return DegreeMatrix(tuple(tuple(int(x) for x in row) for row in A @ B))
-
 
 @dataclass(frozen=True)
-class BiProjectiveMap:
-    """Self-map of P1 x P1 by two pairs of bihomogeneous polynomials in
-    QQ[u0, v0, u1, v1]; each pair has one degree per block, which the chart
-    gcd of `compose` relies on."""
+class RationalMap:
+    """Rational self-map of a product of projective spaces, as in Bellon and
+    Viallet, "Algebraic entropy", Comm. Math. Phys. 204 (1999).
 
-    pairs: tuple[tuple[PolyElement, PolyElement], tuple[PolyElement, PolyElement]]
+    comps[j] holds the homogeneous coordinates of factor j. The ring's
+    generators fall into consecutive blocks, block i holding the
+    len(comps[i]) coordinates of factor i. The coordinates of each factor
+    have one degree in each block, which the chart gcd of `compose` relies on.
+    """
+
+    comps: tuple[tuple[PolyElement, ...], ...]
 
     def __post_init__(self):
-        for j, (P, Q) in enumerate(self.pairs):
-            for i, blk in enumerate(_BLOCKS):
-                degs = sorted({sum(m[blk]) for p in (P, Q) for m in p.itermonoms()})
+        for j, coords in enumerate(self.comps):
+            for i, blk in enumerate(self.blocks):
+                degs = sorted({sum(m[blk]) for p in coords for m in p.itermonoms()})
                 if len(degs) > 1:
-                    raise ValueError(f"pair {j} not bihomogeneous in block {i}: degrees {degs}")
+                    raise ValueError(f"factor {j} not homogeneous in block {i}: degrees {degs}")
+
+    @classmethod
+    def from_coeffs(cls, num, den) -> "RationalMap":
+        """The reduced map z -> P(z)/Q(z) of P1 in QQ[z, w]; coefficients in
+        ascending order (constant term first)."""
+        P, Q = ([_qq(c) for c in cs] for cs in (num, den))
+        if not any(Q):
+            raise ZeroDivisionError("zero denominator")
+        d = max(i for cs in (P, Q) for i, c in enumerate(cs) if c)
+        forms = tuple(_ZW({(i, d - i): c for i, c in enumerate(cs) if c}) for cs in (P, Q))
+        return cls((_reduced(forms, (slice(0, 2),)),))
+
+    @property
+    def blocks(self) -> tuple[slice, ...]:
+        """The ring generators of each factor."""
+        ends = accumulate(map(len, self.comps))
+        return tuple(slice(e - len(c), e) for e, c in zip(ends, self.comps))
 
     def degree_matrix(self) -> DegreeMatrix:
-        return DegreeMatrix(
-            tuple(tuple(_degree(self.pairs[j][0], blk) for j in range(2)) for blk in _BLOCKS)
+        return DegreeMatrix(tuple(
+            tuple(max(_degree(p, blk) for p in coords) for coords in self.comps) for blk in self.blocks
+        ))
+
+    @property
+    def degree(self) -> int:
+        """Largest degree matrix entry: the degree of a map of one projective space."""
+        return max(map(max, self.degree_matrix().entries))
+
+    def __call__(self, x):
+        """A map of P1 at the point (x, 1)."""
+        ((P, Q),) = self.comps
+        x = _qq(x)
+        return P(x, 1) / Q(x, 1)
+
+    def compose(self, other: "RationalMap") -> "RationalMap":
+        """self after other: other's coordinates substituted for the
+        generators, each factor divided by the gcd of its coordinates."""
+        sub = list(zip(self.comps[0][0].ring.gens, chain.from_iterable(other.comps)))
+        blocks = self.blocks
+        return RationalMap(
+            tuple(_reduced(tuple(p.compose(sub) for p in coords), blocks) for coords in self.comps)
         )
 
-    def compose(self, other: "BiProjectiveMap") -> "BiProjectiveMap":
-        """self after other, reduced by the polynomial gcd within each pair."""
-        sub = list(zip(_UV.gens, (p for pair in other.pairs for p in pair)))
-        return BiProjectiveMap(
-            tuple(_reduced((P.compose(sub), Q.compose(sub)), _BLOCKS) for P, Q in self.pairs)
-        )
+
+RationalMap1D = RationalMap  # the name the benchmark tracer finds `compose` under
 
 
-def bidegree_sequence(m: BiProjectiveMap, n: int) -> list[DegreeMatrix]:
+def _iterates(f: RationalMap, n: int) -> list[RationalMap]:
+    """The reduced iterates f, f^2, ..., f^n."""
+    if n < 1:
+        raise ValueError(f"need at least one iterate, got n = {n}")
+    out = [f]
+    while len(out) < n:
+        out.append(f.compose(out[-1]))
+    return out
+
+
+def compose_reduce_1d(f: RationalMap, n: int) -> tuple[RationalMap, list[int]]:
+    """Iterate with reduction; returns (f^n reduced, [deg f^1 .. deg f^n])."""
+    its = _iterates(f, n)
+    return its[-1], [g.degree for g in its]
+
+
+def bidegree_sequence(m: RationalMap, n: int) -> list[DegreeMatrix]:
     """Degree matrices of the reduced iterates m, m^2, ..., m^n."""
-    _check_steps(n)
     if n > 4:
         raise CoefficientBlowup("bidegree composition capped at n = 4")
-    out = [m.degree_matrix()]
-    cur = m
-    while len(out) < n:
-        cur = m.compose(cur)
-        out.append(cur.degree_matrix())
-    return out
+    return [g.degree_matrix() for g in _iterates(m, n)]
 
 
 # -- worked example maps -----------------------------------------------------------
@@ -216,24 +195,24 @@ def bidegree_sequence(m: BiProjectiveMap, n: int) -> list[DegreeMatrix]:
 
 @dataclass(frozen=True)
 class GasketMaps:
-    g: BiProjectiveMap
-    ghat: RationalMap1D
-    phat: RationalMap1D
+    g: RationalMap
+    ghat: RationalMap
+    phat: RationalMap
     lift: tuple  # polynomial lift on C^2 x C^2, four elements of QQ[u0, v0, u1, v1]
 
 
 def gasket_maps() -> GasketMaps:
     """All explicit gasket maps, exact coefficients."""
-    g = BiProjectiveMap(
+    g = RationalMap(
         (
             (3 * U0 * U1, 2 * U0 * V1 + U1 * V0),
             (3 * U1 * (U0 * V1 + U1 * V0), 5 * U1 * V0 * V1 + U0 * V1**2),
         )
     )
     # ghat(z) = z(z+5) / ((2z+1)(z+1)) = (z^2+5z) / (2z^2+3z+1)
-    ghat = RationalMap1D.from_coeffs([0, 5, 1], [1, 3, 2])
+    ghat = RationalMap.from_coeffs([0, 5, 1], [1, 3, 2])
     # phat(v) = v(5+2v)
-    phat = RationalMap1D.from_coeffs([0, 5, 2], [1])
+    phat = RationalMap.from_coeffs([0, 5, 2], [1])
     lift = (
         3 * U0 * U1 * V1,
         2 * U0 * V1**2 + V0 * U1 * V1,
@@ -243,11 +222,16 @@ def gasket_maps() -> GasketMaps:
     return GasketMaps(g, ghat, phat, lift)
 
 
+def conjugates(f: RationalMap, g: RationalMap, c: RationalMap) -> bool:
+    """f o c = c o g for maps of P1, compared by cross-multiplication."""
+    ((P, Q),), ((R, S),) = f.compose(c).comps, c.compose(g).comps
+    return P * S == Q * R
+
+
 def gasket_conjugacy_holds() -> bool:
     """phat o c = c o ghat for the change of variable c(z) = 3z/(1-z)."""
     gm = gasket_maps()
-    c = RationalMap1D.from_coeffs([0, 3], [1, -1])
-    return gm.phat.compose(c) == c.compose(gm.ghat)
+    return conjugates(gm.phat, gm.ghat, RationalMap.from_coeffs([0, 3], [1, -1]))
 
 
 def _phat_inverse(t: float) -> tuple[float, float]:
@@ -260,6 +244,8 @@ def _preimage_levels(target: float, k_max: int) -> list[list[float]]:
     """Depths 0..k_max of the preimage tree of target, breadth first: the
     children of the j-th location at one depth are the (2j)-th and the
     (2j+1)-th at the next."""
+    if k_max < 0:
+        raise ValueError(f"preimage depth must be >= 0, got {k_max}")
     levels = [[float(target)]]
     for _ in range(k_max):
         levels.append([v for t in levels[-1] for v in _phat_inverse(t)])
@@ -291,8 +277,6 @@ GASKET_EXCEPTIONAL = (-3.0, -1.5, -2.5)
 def gasket_limit_measure(k_max: int) -> AtomicMeasure:
     """Truncation of the limiting N-D density: (1/2) delta_{-3} plus mass
     3^{-k-1}/2 at every k-th preimage of -3/2 and -5/2, k <= k_max."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
     trees = [_preimage_levels(target, k_max) for target in (-1.5, -2.5)]
     atoms: list[tuple[float, Fraction]] = [(-3.0, Fraction(1, 2))]
     for k in range(k_max + 1):
@@ -305,10 +289,6 @@ def gasket_limit_measure(k_max: int) -> AtomicMeasure:
 def gasket_limit_truncation_deficit(k_max: int) -> Fraction:
     """Mass missing from the k_max truncation: (2/3)^(k_max+1)."""
     return Fraction(2, 3) ** (k_max + 1)
-
-
-_ADQ, _A, _D, _Q = ring("a d q", QQ)
-_ADQ_BLOCKS = (slice(0, 3),)
 
 
 @dataclass(frozen=True)
@@ -346,16 +326,7 @@ def interval_maps(alpha) -> IntervalMaps:
 def interval_rhat_iterate_symbolic(m: IntervalMaps, n: int):
     """Exact iterates of the C^3 lift with gcd reduction; returns the list of
     (component tuple, degree) per step."""
-    _check_steps(n)
-    out = []
-    cur = m.rhat
-    while True:
-        cur = _reduced(cur, _ADQ_BLOCKS)
-        out.append((cur, max(_degree(c) for c in cur)))
-        if len(out) == n:
-            return out
-        sub = list(zip(_ADQ.gens, cur))
-        cur = tuple(c.compose(sub) for c in m.rhat)
+    return [(g.comps[0], g.degree) for g in _iterates(RationalMap((m.rhat,)), n)]
 
 
 def interval_green_estimate(m: IntervalMaps, Q, n_max: int = 30):
@@ -365,6 +336,8 @@ def interval_green_estimate(m: IntervalMaps, Q, n_max: int = 30):
     The point is three Python complex numbers, so one step costs a few
     microseconds.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     v = tuple(map(complex, Q))
     nrm = math.hypot(*map(abs, v))
     if nrm == 0:

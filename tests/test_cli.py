@@ -119,6 +119,20 @@ def test_green_refuses_no_steps(tmp_path, capsys, nmax):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["decimation", "--n", "-1"],
+    ["decimation", "--n", "0"],
+    ["green", "--builtin", "gasket", "--re-steps", "0"],
+    ["green", "--builtin", "gasket", "--im-steps", "0"],
+    ["dos", "--builtin", "gasket", "--points", "0"],
+])
+def test_runs_that_check_or_write_nothing_are_refused(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert "error: argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_green_default_window_spans_the_spectrum(tmp_path):
     # green takes the pencil variable: the gasket Laplacian's spectrum, negated, in [0, 6]
     assert run(["green", "--builtin", "gasket", "--out", str(tmp_path)]) == EXIT_OK

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy
 from sympy import QQ
+from sympy.polys.rings import ring
 
 from fraclat import dynamics
 from fraclat.dynamics import (
@@ -13,13 +14,12 @@ from fraclat.dynamics import (
     U1,
     V0,
     V1,
-    BiProjectiveMap,
     CoefficientBlowup,
-    DegreeMatrix,
     IntervalMaps,
-    RationalMap1D,
+    RationalMap,
     bidegree_sequence,
     compose_reduce_1d,
+    conjugates,
     dichotomy_classify,
     dynamical_degree,
     gasket_conjugacy_holds,
@@ -51,6 +51,11 @@ def test_conjugacy_exact():
     assert gasket_conjugacy_holds()
 
 
+def test_conjugacy_fails_for_another_change_of_variable(gm):
+    c = RationalMap.from_coeffs([0, 2], [1, -1])  # 2z/(1-z)
+    assert not conjugates(gm.phat, gm.ghat, c)
+
+
 def test_ghat_degree_doubling(gm):
     _, degs = compose_reduce_1d(gm.ghat, 5)
     assert degs == [2, 4, 8, 16, 32]
@@ -62,7 +67,7 @@ def test_phat_degree_doubling(gm):
 
 
 def test_identity_degree_one():
-    ident = RationalMap1D.from_coeffs([0, 1], [1])
+    ident = RationalMap.from_coeffs([0, 1], [1])
     assert compose_reduce_1d(ident, 4)[1] == [1, 1, 1, 1]
 
 
@@ -73,29 +78,36 @@ def test_gasket_degree_matrix(gm):
 def test_bidegree_sequence_submultiplicative(gm):
     mats = bidegree_sequence(gm.g, 3)
     assert mats[0].entries == ((1, 1), (1, 2))
-    assert mats[1] <= mats[0].matmul(mats[0])
-    assert mats[2] <= mats[0].matmul(mats[1])
+    d = [np.array(m.entries) for m in mats]
+    assert (d[1] <= d[0] @ d[0]).all()
+    assert (d[2] <= d[0] @ d[1]).all()
     roots = [m.l_n ** (1.0 / (k + 1)) for k, m in enumerate(mats)]
     assert all(a >= b - 1e-12 for a, b in zip(roots[:-1], roots[1:]))
 
 
 def test_product_map_block_diagonal_degrees(gm):
-    # (ghat acting on the first factor, identity on the second):
-    # P(U0/V0) V0^2 over Q(U0/V0) V0^2
+    # (ghat acting on the first factor, identity on the second)
     num, den = (
-        sum((c * U0**i * V0 ** (2 - i) for (i,), c in p.iterterms()), 0 * U0)
-        for p in (gm.ghat.numerator, gm.ghat.denominator)
+        sum((c * U0**i * V0**j for (i, j), c in p.iterterms()), 0 * U0) for p in gm.ghat.comps[0]
     )
-    prod = BiProjectiveMap(((num, den), (U1, V1)))
+    prod = RationalMap(((num, den), (U1, V1)))
     assert prod.degree_matrix().entries == ((2, 0), (0, 1))
 
 
-def test_biprojective_map_refuses_mixed_degrees():
+_zw = ring("z w", QQ)[1:]
+_adq = ring("a d q", QQ)[1:]
+
+
+@pytest.mark.parametrize("comps, message", [
     # equal top degrees in block 0 (2 and 2), but u0 v0 + v0 is not homogeneous
-    with pytest.raises(ValueError, match="not bihomogeneous in block 0"):
-        BiProjectiveMap(((U0 * V0 + V0, V0**2), (U1, V1)))
-    with pytest.raises(ValueError, match="not bihomogeneous in block 1"):
-        BiProjectiveMap(((U0, V0), (U1, V1**2)))
+    (((U0 * V0 + V0, V0**2), (U1, V1)), "factor 0 not homogeneous in block 0"),
+    (((U0, V0), (U1, V1**2)), "factor 1 not homogeneous in block 1"),
+    (((_zw[0] * _zw[1] + _zw[1], _zw[1] ** 2),), "factor 0 not homogeneous in block 0"),
+    (((_adq[0] ** 2, _adq[1] ** 2, _adq[2]),), "factor 0 not homogeneous in block 0"),
+], ids=["p1xp1-block0", "p1xp1-block1", "p1", "p2"])
+def test_map_refuses_mixed_degrees(comps, message):
+    with pytest.raises(ValueError, match=message):
+        RationalMap(comps)
 
 
 def test_lift_component_form(gm):
@@ -128,6 +140,16 @@ def test_preimages_counts_and_interval():
 def test_preimages_rejects_outside_interval():
     with pytest.raises(ValueError):
         phat_preimages(0.5, 1)
+
+
+@pytest.mark.parametrize("depth", [-1, -3])
+def test_preimages_refuse_negative_depth(depth):
+    with pytest.raises(ValueError, match="preimage depth must be >= 0"):
+        phat_preimages(-1.5, depth)
+    with pytest.raises(ValueError, match="preimage depth must be >= 0"):
+        phat_preimage_tree(-1.5, depth)
+    with pytest.raises(ValueError, match="preimage depth must be >= 0"):
+        gasket_limit_measure(depth)
 
 
 def test_preimage_tree_structure():
@@ -266,6 +288,13 @@ def test_interval_green_cauchy():
         assert abs(v30 - v20) <= 1e-6
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_interval_green_refuses_no_steps(n_max):
+    m = interval_maps(Fraction(1, 3))
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        interval_green_estimate(m, interval_phi_coords(complex(-1, 0.5)), n_max)
+
+
 def test_dynamical_degree_and_classifier():
     est, seq = dynamical_degree([2, 4, 8, 16, 32])
     assert est == pytest.approx(2.0)
@@ -288,7 +317,7 @@ def test_growth_check_slope_and_sentinel():
 # The module composes on sympy's sparse rings; these are the formulas it
 # replaced, kept to check the ring results against.
 
-_z = sympy.Symbol("z")
+_z, _w = sympy.symbols("z w")
 _u0, _v0, _u1, _v1 = sympy.symbols("u0 v0 u1 v1")
 _a, _d, _q = sympy.symbols("a d q")
 
@@ -379,8 +408,10 @@ def test_1d_iterates_match_reference(gm, name, coeffs):
     ref = ref_f
     for n in range(1, 5):
         got, _ = compose_reduce_1d(getattr(gm, name), n)
-        assert sympy.Poly(got.numerator.as_expr(), _z, domain="QQ") == ref[0]
-        assert sympy.Poly(got.denominator.as_expr(), _z, domain="QQ") == ref[1]
+        # the map on the line: its homogeneous coordinates at w = 1
+        P, Q = (sympy.Poly(p.as_expr().subs(_w, 1), _z, domain="QQ") for p in got.comps[0])
+        scalar = ref[1].LC() / Q.LC()
+        assert P * scalar == ref[0] and Q * scalar == ref[1]
         ref = ref_compose_1d(ref_f, ref)
 
 
@@ -394,7 +425,7 @@ def test_bidegree_iterates_match_reference_up_to_scalar(gm):
     for n in range(1, 4):
         if n > 1:
             cur, ref = gm.g.compose(cur), ref_compose_bi(ref_g, ref)
-        for (P, Q), (rP, rQ) in zip(cur.pairs, ref, strict=True):
+        for (P, Q), (rP, rQ) in zip(cur.comps, ref, strict=True):
             P, Q = (sympy.Poly(e.as_expr(), *gens, domain="QQ") for e in (P, Q))
             rP, rQ = (sympy.Poly(e, *gens, domain="QQ") for e in (rP, rQ))
             scalar = rP.LC() / P.LC()
