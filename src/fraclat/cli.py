@@ -29,7 +29,7 @@ from .spectral import (
     DEFAULT_NULLITY_TOL,
     SizeCeilingError,
     counting_measure,
-    nd_nullity,
+    nd_nullities,
     nd_spectrum,
     spectra,
     spectrum,
@@ -104,6 +104,8 @@ def _load_base(args, spec: StructureSpec) -> BaseOperator:
             x, y = int(x) - 1, int(y) - 1
             if not (0 <= x < n0 and 0 <= y < n0):
                 raise ValueError(f"base coupling ({x + 1}, {y + 1}) must index vertices 1..{n0}")
+            if x == y:
+                raise ValueError(f"base coupling ({x + 1}, {y + 1}) is diagonal: a couples two distinct vertices")
             a[x][y] = a[y][x] = Fraction(str(v))
         b = tuple(Fraction(str(v)) for v in d["b"])
         base = BaseOperator(a=tuple(tuple(r) for r in a), b=b)
@@ -240,7 +242,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_nd(args) -> int:
     spec, _, op = _load(args)
-    nd = nd_spectrum(op, tol=args.tol, merge_tol=args.merge_tol)
+    dirichlet = spectrum(op, "dirichlet", vectors=True)
+    nd = nd_spectrum(op, tol=args.tol, merge_tol=args.merge_tol, dirichlet=dirichlet)
     payload = {"command": "nd", "structure": spec.to_dict(), "level": args.level,
                "tol": args.tol, "merge_tol": args.merge_tol}
     write = _writer(args, payload)
@@ -250,9 +253,11 @@ def cmd_nd(args) -> int:
         [(loc, m) for loc, m in nd.atoms],
         extra_meta=f", tol: {args.tol}, merge_tol: {args.merge_tol}",
     )
-    rho = [(loc, nd_nullity(op, loc, args.tol)) for loc, _ in nd.atoms]
-    write(f"{spec.name}_n{args.level}_rho.csv", "lambda,rho_n", rho, extra_meta=f", tol: {args.tol}")
+    lams = [loc for loc, _ in nd.atoms]
+    rho, margins = nd_nullities(op, lams, dirichlet, args.tol)
+    write(f"{spec.name}_n{args.level}_rho.csv", "lambda,rho_n", zip(lams, rho), extra_meta=f", tol: {args.tol}")
     print(f"N-D count at level {args.level}: {nd.total_mass}")
+    print(f"rho decision margin: {min(margins, default=1.0):.3g} (smallest |log10(sigma / threshold)|, at most 1)")
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from functools import cache
 
 import numpy as np
 
-from .operator import LevelOperator, scaled_pencil
+from .operator import LevelOperator, scaled_pencil, sums_float
 
 DEFAULT_MERGE_TOL = 1e-7
 DEFAULT_NULLITY_TOL = 1e-8
@@ -243,9 +243,9 @@ def _decomposition(w: np.ndarray, U: np.ndarray | None, b: np.ndarray) -> EigenD
 # blocks (3.03); one spectrum() call holds one copy fewer (2.03).  With
 # vectors, the pencil, LAPACK's copy, the divide-and-conquer workspace
 # (2 V^2) and the eigenvectors (5.03); nd then adds the cached A_n.  Its
-# rho table, one SVD at a time, holds A_n, one stacked system and LAPACK's
-# copy of it: at V = 1095 it leaves nd_spectrum's peak-RSS rise (5.31 V^2)
-# unchanged.  6 leaves about one V^2 of margin.
+# rho table (nd_nullities) holds V x |window| arrays and scatters in
+# column blocks: at V = 1095 and 3282 it leaves the solve's peak-RSS rise
+# (5.30 and 5.02 V^2) unchanged.  6 leaves about one V^2 of margin.
 SOLVE_ARRAYS = {False: 3, True: 6}
 
 
@@ -344,7 +344,8 @@ def nd_nullity(op: LevelOperator, lam: float, tol: float = DEFAULT_NULLITY_TOL) 
     """dim{f : f|boundary = 0, (A + lam diag(b)) f = 0} by a stacked SVD.
 
     The stacked system restricts (A + lam diag(b)) to interior columns,
-    which is the matrix form of appending boundary-indicator rows.
+    which is the matrix form of appending boundary-indicator rows.  This
+    full SVD is the reference that nd_nullities is tested against.
     """
     idx = op.interior
     if not len(idx):
@@ -352,6 +353,67 @@ def nd_nullity(op: LevelOperator, lam: float, tol: float = DEFAULT_NULLITY_TOL) 
     sv = np.linalg.svd(_stacked_system(op.matrix_float(), op.b_float(), idx, lam), compute_uv=False)
     smax = sv[0] if sv[0] > 0 else 1.0
     return int(np.sum(sv < tol * smax))
+
+
+# nd_nullities' power steps on S^T S for sigma_1 (12 left it at most 1% low
+# on the differential test's cases) and the column blocks of its products.
+_POWER_STEPS, _SCATTER_COLUMNS = 12, 32
+
+
+def nd_nullities(
+    op: LevelOperator, lams, dirichlet: EigenDecomposition, tol: float = DEFAULT_NULLITY_TOL
+) -> tuple[list[int], list[float]]:
+    """nd_nullity at every lam in ``lams``, and each count's margin: the
+    log10 distance from the threshold tau to the nearest singular value
+    seen, at most 1.  ``dirichlet`` holds the Dirichlet eigenpairs
+    (e_i, u_i), solved with vectors.  With S = (A + lam diag(b))[:, interior],
+    S u_i = (lam - e_i) b u_i on the interior rows, so |S f| >= 10 tau |f|
+    for every f b-orthogonal to the window W = {i : |e_i - lam| <= 10 tau /
+    min b}.  The count is that of the singular values of S Q_W below tau,
+    Q_W an orthonormal basis of the window's u_i: it can differ from
+    nd_nullity's only where a singular value lies within a small factor of
+    tau.  sigma_1 is a power iteration over all lams at once, from the u_i
+    farthest from lam plus a fixed vector that no lattice symmetry maps to
+    itself.  The products are scattered from ``op.a_sums``."""
+    e, U = dirichlet.eigenvalues, dirichlet.eigenvectors
+    lams, idx, V = np.asarray(lams, dtype=float), op.interior, op.size
+    if not len(idx):
+        return [0] * len(lams), [1.0] * len(lams)
+    pos = np.full(V, -1)
+    pos[idx] = np.arange(len(idx))
+    row, col = np.divmod(op.a_sums[0], V)
+    keep = pos[col] >= 0
+    row, col, val = row[keep], pos[col[keep]], sums_float(*op.a_sums)[keep]
+    b = op.b_float()[idx]
+
+    def scatter(dst, src, X, n):  # val * X[src] summed into the rows dst of an (n, .) array
+        Y = np.empty((n, X.shape[1]))
+        for j in range(0, X.shape[1], _SCATTER_COLUMNS):  # bounds the len(val) x c temporaries
+            c = min(_SCATTER_COLUMNS, X.shape[1] - j)
+            flat = dst[:, None] * c + np.arange(c)
+            Y[:, j : j + c] = np.bincount(flat.ravel(), (val[:, None] * X[src, j : j + c]).ravel(), n * c).reshape(n, c)
+        return Y
+
+    def apply(X, lam):  # S(lam) X, with lam a scalar or one value per column
+        Y = scatter(row, col, X, V)
+        Y[idx] += b[:, None] * lam * X
+        return Y
+
+    far = U[:, np.argmax(np.abs(lams[None, :] - e[:, None]), axis=0)]
+    fixed = np.sin(np.arange(1.0, len(idx) + 1))
+    X = far / np.linalg.norm(far, axis=0) + (fixed / np.linalg.norm(fixed))[:, None]
+    for _ in range(_POWER_STEPS):
+        Y = apply(X / np.linalg.norm(X, axis=0), lams)
+        X = scatter(col, row, Y, len(idx)) + b[:, None] * lams * Y[idx]
+    s1 = np.linalg.norm(apply(X / np.linalg.norm(X, axis=0), lams), axis=0)
+    counts, margins = [], []
+    for lam, tau in zip(lams, tol * np.where(s1 > 0, s1, 1.0)):
+        window = np.abs(e - lam) <= 10 * tau / b.min()
+        sv = np.linalg.svd(apply(np.linalg.qr(U[:, window])[0], lam), compute_uv=False)
+        counts.append(int(np.sum(sv < tau)))
+        with np.errstate(divide="ignore"):
+            margins.append(float(np.min(np.abs(np.log10(sv / tau)), initial=1.0)))
+    return counts, margins
 
 
 def nd_spectrum(

@@ -62,8 +62,9 @@ def test_spectrum_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_nd_outputs(tmp_path):
+def test_nd_outputs(tmp_path, capsys):
     assert run(["nd", "--builtin", "gasket", "--level", "2", "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1].startswith("rho decision margin: 1 (")
     nd = lines(tmp_path / "gasket_n2_nd.csv")
     assert nd[1] == "lambda,multiplicity"
     rows = [l.split(",") for l in nd[2:]]
@@ -242,6 +243,20 @@ def test_base_coupling_outside_the_cell_rejected(tmp_path, capsys, triplet):
     assert "error: base coupling" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("diagonal", [[[1, 1, "5"]], [[1, 1, "5"], [2, 2, "5"], [3, 3, "5"]]])
+def test_base_diagonal_coupling_rejected(tmp_path, capsys, diagonal):
+    # all three were once dropped, leaving the unit base; (1, 1) alone was
+    # refused as not invariant under the symmetry group
+    base = {"a": [*diagonal, [1, 2, "1"], [1, 3, "1"], [2, 3, "1"]], "b": [1, 1, 1]}
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base))
+    out = tmp_path / "out"
+    assert run(["spectrum", "--builtin", "gasket", "--level", "1", "--base", str(path),
+                "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert "error: base coupling (1, 1) is diagonal" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_size_ceiling_exit_code(tmp_path):
     assert run(["spectrum", "--builtin", "interval:1/2", "--level", "14",
                 "--out", str(tmp_path)]) == EXIT_CEILING
@@ -329,16 +344,20 @@ def test_nd_solves_for_eigenvectors_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_nd_rho_column_is_one_nd_nullity_call_per_atom(tmp_path, monkeypatch):
-    calls = []
-    nd_nullity = cli.nd_nullity
-    monkeypatch.setattr(cli, "nd_nullity", lambda op, lam, tol: calls.append((lam, tol)) or nd_nullity(op, lam, tol))
+def test_nd_rho_column_equals_nd_nullity_at_every_atom(tmp_path, monkeypatch):
+    tols = []
+    nd_nullities = cli.nd_nullities
+    monkeypatch.setattr(cli, "nd_nullities", lambda op, lams, eig, tol: tols.append(tol) or nd_nullities(op, lams, eig, tol))
     argv = ["nd", "--builtin", "gasket", "--level", "3", "--tol", "1e-9", "--out", str(tmp_path)]
     assert run(argv) == EXIT_OK
     nd = [l.split(",") for l in lines(tmp_path / "gasket_n3_nd.csv")[2:]]
     rho = [l.split(",") for l in lines(tmp_path / "gasket_n3_rho.csv")[2:]]
     assert [r[0] for r in rho] == [r[0] for r in nd]
-    assert calls == [(float(r[0]), 1e-9) for r in rho]  # %.17g round-trips every float
+    assert tols == [1e-9]
+    spec = builtin_gasket()
+    op = assemble(laplacian_base(spec), spec, build_level(spec, 3))
+    # %.17g round-trips every float
+    assert [int(r[1]) for r in rho] == [spectral.nd_nullity(op, float(r[0]), 1e-9) for r in rho]
 
 
 def test_tolerance_defaults_are_spectral_constants():

@@ -1,13 +1,15 @@
 """spectra() and the solver pool: the paired Neumann/Dirichlet solve against
 two spectrum() calls, results returned through spectrum(), threads sharing
-one operator, the pool's failure paths, and the rho table's nd_nullity
-against the N-D spectrum."""
+one operator, the pool's failure paths, the rho table's nd_nullity
+against the N-D spectrum, and the windowed nd_nullities against the full
+SVD."""
 
 import os
 import signal
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,13 +19,15 @@ from fraclat.cli import EXIT_BAD_CONFIG, EXIT_OK, run
 from fraclat.operator import assemble, laplacian_base
 from fraclat.spectral import (
     counting_measure,
+    nd_nullities,
     nd_nullity,
     nd_spectrum,
     spectra,
     spectrum,
     sup_cdf_distance,
 )
-from fraclat.structure import build_level
+from fraclat.structure import build_level, builtin_interval
+from test_r_tensor import rational_base
 from test_weighted_and_permuted import STRUCTURES
 
 
@@ -169,6 +173,40 @@ def test_rho_kernel_matches_nd_nullity(name, levels):
 def test_rho_kernel_without_interior():
     op = _op("gasket", 0)
     assert [nd_nullity(op, lam) for lam in (-3.0, -5.0)] == [0, 0]
+    eig = spectrum(op, "dirichlet", vectors=True)
+    assert nd_nullities(op, [-3.0, -5.0], eig) == ([0, 0], [1.0, 1.0])
+
+
+DIFFERENTIAL = {**STRUCTURES, "interval:2/7": builtin_interval(Fraction(2, 7))}
+
+
+@pytest.mark.parametrize("name,top", [("gasket", 5), ("star", 5), ("zigzag", 4),
+                                      ("interval:1/3", 8), ("interval:2/7", 8)])
+def test_windowed_nullities_match_the_full_svd(name, top):
+    # probes: every N-D atom, every 5th Dirichlet eigenvalue and one point
+    # off the spectrum.  Counts must agree wherever the full SVD's nearest
+    # singular value is at least 2x from its threshold; nearer ones may flip.
+    spec = DIFFERENTIAL[name]
+    probes = fragile = 0
+    for base in (laplacian_base(spec), rational_base(spec, 26), rational_base(spec, 3)):
+        for n in range(1, top + 1):
+            op = assemble(base, spec, build_level(spec, n))
+            eig = spectrum(op, "dirichlet", vectors=True)
+            lams = [float(loc) for loc, _ in nd_spectrum(op, dirichlet=eig).atoms]
+            lams += [float(x) for x in eig.eigenvalues[::5]] + [-0.123456]
+            got, margins = nd_nullities(op, lams, eig)
+            assert all(0.0 <= m <= 1.0 for m in margins)
+            A, b = op.matrix_float(), op.b_float()
+            for lam, count in zip(lams, got):
+                # nd_nullity's full SVD and threshold
+                sv = np.linalg.svd(spectral._stacked_system(A, b, op.interior, lam), compute_uv=False)
+                tau = 1e-8 * sv[0]
+                probes += 1
+                if np.any((sv > tau / 2) & (sv < 2 * tau)):
+                    fragile += 1
+                else:
+                    assert count == int(np.sum(sv < tau)), (n, lam)
+    assert fragile <= probes // 5, (fragile, probes)  # most probes are compared
 
 
 def test_decimation_skips_the_last_neumann_solve(tmp_path, monkeypatch):
