@@ -407,7 +407,7 @@ def nd_nullities(
         X = scatter(col, row, Y, len(idx)) + b[:, None] * lams * Y[idx]
     s1 = np.linalg.norm(apply(X / np.linalg.norm(X, axis=0), lams), axis=0)
     counts, margins = [], []
-    for lam, tau in zip(lams, tol * np.where(s1 > 0, s1, 1.0)):
+    for lam, tau in zip(lams, tol * s1):
         window = np.abs(e - lam) <= 10 * tau / b.min()
         sv = np.linalg.svd(apply(np.linalg.qr(U[:, window])[0], lam), compute_uv=False)
         counts.append(int(np.sum(sv < tau)))
