@@ -26,7 +26,6 @@ from .spectral import (
     counting_measure,
     dominates,
     nd_nullity,
-    nd_nullities,
     nd_spectrum,
     spectra,
     spectrum,

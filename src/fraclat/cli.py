@@ -29,7 +29,6 @@ from .spectral import (
     DEFAULT_NULLITY_TOL,
     SizeCeilingError,
     counting_measure,
-    nd_nullities,
     nd_spectrum,
     spectra,
     spectrum,
@@ -100,12 +99,16 @@ def _load_base(args, spec: StructureSpec) -> BaseOperator:
             d = json.load(fh)
         n0 = spec.N0
         a = [[Fraction(0)] * n0 for _ in range(n0)]
+        seen = set()
         for (x, y, v) in d["a"]:
             x, y = int(x) - 1, int(y) - 1
             if not (0 <= x < n0 and 0 <= y < n0):
                 raise ValueError(f"base coupling ({x + 1}, {y + 1}) must index vertices 1..{n0}")
             if x == y:
                 raise ValueError(f"base coupling ({x + 1}, {y + 1}) is diagonal: a couples two distinct vertices")
+            if (x, y) in seen:
+                raise ValueError(f"base coupling ({x + 1}, {y + 1}) is given twice: a pair and its reverse are one coupling")
+            seen |= {(x, y), (y, x)}
             a[x][y] = a[y][x] = Fraction(str(v))
         b = tuple(Fraction(str(v)) for v in d["b"])
         base = BaseOperator(a=tuple(tuple(r) for r in a), b=b)
@@ -150,6 +153,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _unit_tol(text: str) -> float:
+    """A relative singular-value threshold: 0, 1 and above, or nan would
+    count every cluster as null or none."""
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text}")
+    return value
+
+
+def _merge_tol(text: str) -> float:
+    """An eigenvalue-merging distance: finite and at least 0."""
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parse_args leaves it unchanged)."""
@@ -165,13 +185,13 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="Neumann/Dirichlet counting measures as CSV")
     _add_common(p)
     p.add_argument("--level", type=int, default=1)
-    p.add_argument("--merge-tol", type=float, default=DEFAULT_MERGE_TOL)
+    p.add_argument("--merge-tol", type=_merge_tol, default=DEFAULT_MERGE_TOL)
 
     p = sub.add_parser("nd", help="Neumann-Dirichlet spectrum and rho table")
     _add_common(p)
     p.add_argument("--level", type=int, default=2)
-    p.add_argument("--tol", type=float, default=DEFAULT_NULLITY_TOL)
-    p.add_argument("--merge-tol", type=float, default=DEFAULT_MERGE_TOL)
+    p.add_argument("--tol", type=_unit_tol, default=DEFAULT_NULLITY_TOL)
+    p.add_argument("--merge-tol", type=_merge_tol, default=DEFAULT_MERGE_TOL)
 
     p = sub.add_parser("dos", help="normalized density-of-states CDF samples")
     _add_common(p)
@@ -242,22 +262,19 @@ def cmd_spectrum(args) -> int:
 
 def cmd_nd(args) -> int:
     spec, _, op = _load(args)
-    dirichlet = spectrum(op, "dirichlet", vectors=True)
-    nd = nd_spectrum(op, tol=args.tol, merge_tol=args.merge_tol, dirichlet=dirichlet)
+    nd = nd_spectrum(op, tol=args.tol, merge_tol=args.merge_tol)
     payload = {"command": "nd", "structure": spec.to_dict(), "level": args.level,
                "tol": args.tol, "merge_tol": args.merge_tol}
     write = _writer(args, payload)
     write(
         f"{spec.name}_n{args.level}_nd.csv",
         "lambda,multiplicity",
-        [(loc, m) for loc, m in nd.atoms],
+        nd.atoms,
         extra_meta=f", tol: {args.tol}, merge_tol: {args.merge_tol}",
     )
-    lams = [loc for loc, _ in nd.atoms]
-    rho, margins = nd_nullities(op, lams, dirichlet, args.tol)
-    write(f"{spec.name}_n{args.level}_rho.csv", "lambda,rho_n", zip(lams, rho), extra_meta=f", tol: {args.tol}")
+    write(f"{spec.name}_n{args.level}_rho.csv", "lambda,rho_n", nd.atoms, extra_meta=f", tol: {args.tol}")
     print(f"N-D count at level {args.level}: {nd.total_mass}")
-    print(f"rho decision margin: {min(margins, default=1.0):.3g} (smallest |log10(sigma / threshold)|, at most 1)")
+    print(f"rho decision margin: {nd.margin:.3g} (smallest |log10(sigma / threshold)|, at most 1)")
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -242,10 +242,9 @@ def _decomposition(w: np.ndarray, U: np.ndarray | None, b: np.ndarray) -> EigenD
 # holds its shared pencil and LAPACK's copies of the Neumann and Dirichlet
 # blocks (3.03); one spectrum() call holds one copy fewer (2.03).  With
 # vectors, the pencil, LAPACK's copy, the divide-and-conquer workspace
-# (2 V^2) and the eigenvectors (5.03); nd then adds the cached A_n.  Its
-# rho table (nd_nullities) holds V x |window| arrays and scatters in
-# column blocks: at V = 1095 and 3282 it leaves the solve's peak-RSS rise
-# (5.30 and 5.02 V^2) unchanged.  6 leaves about one V^2 of margin.
+# (2 V^2) and the eigenvectors: 5.04, and 5.30 at V = 1095.  nd_spectrum
+# then adds N0 x V flux arrays and no dense A_n, which leaves both rises
+# unchanged.  6 leaves at least 0.7 V^2 of margin.
 SOLVE_ARRAYS = {False: 3, True: 6}
 
 
@@ -345,7 +344,8 @@ def nd_nullity(op: LevelOperator, lam: float, tol: float = DEFAULT_NULLITY_TOL) 
 
     The stacked system restricts (A + lam diag(b)) to interior columns,
     which is the matrix form of appending boundary-indicator rows.  This
-    full SVD is the reference that nd_nullities is tested against.
+    full SVD is the reference that nd_spectrum's multiplicities are tested
+    against.
     """
     idx = op.interior
     if not len(idx):
@@ -355,65 +355,14 @@ def nd_nullity(op: LevelOperator, lam: float, tol: float = DEFAULT_NULLITY_TOL) 
     return int(np.sum(sv < tol * smax))
 
 
-# nd_nullities' power steps on S^T S for sigma_1 (12 left it at most 1% low
-# on the differential test's cases) and the column blocks of its products.
-_POWER_STEPS, _SCATTER_COLUMNS = 12, 32
+@dataclass(frozen=True)
+class NDMeasure(AtomicMeasure):
+    """nd_spectrum's counting measure with its decision ``margin``: the
+    smallest |log10(sigma / threshold)| over the flux singular values of
+    every cluster, at most 1.  A margin near 0 marks a multiplicity that
+    a small change of ``tol`` or of rounding may flip."""
 
-
-def nd_nullities(
-    op: LevelOperator, lams, dirichlet: EigenDecomposition, tol: float = DEFAULT_NULLITY_TOL
-) -> tuple[list[int], list[float]]:
-    """nd_nullity at every lam in ``lams``, and each count's margin: the
-    log10 distance from the threshold tau to the nearest singular value
-    seen, at most 1.  ``dirichlet`` holds the Dirichlet eigenpairs
-    (e_i, u_i), solved with vectors.  With S = (A + lam diag(b))[:, interior],
-    S u_i = (lam - e_i) b u_i on the interior rows, so |S f| >= 10 tau |f|
-    for every f b-orthogonal to the window W = {i : |e_i - lam| <= 10 tau /
-    min b}.  The count is that of the singular values of S Q_W below tau,
-    Q_W an orthonormal basis of the window's u_i: it can differ from
-    nd_nullity's only where a singular value lies within a small factor of
-    tau.  sigma_1 is a power iteration over all lams at once, from the u_i
-    farthest from lam plus a fixed vector that no lattice symmetry maps to
-    itself.  The products are scattered from ``op.a_sums``."""
-    e, U = dirichlet.eigenvalues, dirichlet.eigenvectors
-    lams, idx, V = np.asarray(lams, dtype=float), op.interior, op.size
-    if not len(idx):
-        return [0] * len(lams), [1.0] * len(lams)
-    pos = np.full(V, -1)
-    pos[idx] = np.arange(len(idx))
-    row, col = np.divmod(op.a_sums[0], V)
-    keep = pos[col] >= 0
-    row, col, val = row[keep], pos[col[keep]], sums_float(*op.a_sums)[keep]
-    b = op.b_float()[idx]
-
-    def scatter(dst, src, X, n):  # val * X[src] summed into the rows dst of an (n, .) array
-        Y = np.empty((n, X.shape[1]))
-        for j in range(0, X.shape[1], _SCATTER_COLUMNS):  # bounds the len(val) x c temporaries
-            c = min(_SCATTER_COLUMNS, X.shape[1] - j)
-            flat = dst[:, None] * c + np.arange(c)
-            Y[:, j : j + c] = np.bincount(flat.ravel(), (val[:, None] * X[src, j : j + c]).ravel(), n * c).reshape(n, c)
-        return Y
-
-    def apply(X, lam):  # S(lam) X, with lam a scalar or one value per column
-        Y = scatter(row, col, X, V)
-        Y[idx] += b[:, None] * lam * X
-        return Y
-
-    far = U[:, np.argmax(np.abs(lams[None, :] - e[:, None]), axis=0)]
-    fixed = np.sin(np.arange(1.0, len(idx) + 1))
-    X = far / np.linalg.norm(far, axis=0) + (fixed / np.linalg.norm(fixed))[:, None]
-    for _ in range(_POWER_STEPS):
-        Y = apply(X / np.linalg.norm(X, axis=0), lams)
-        X = scatter(col, row, Y, len(idx)) + b[:, None] * lams * Y[idx]
-    s1 = np.linalg.norm(apply(X / np.linalg.norm(X, axis=0), lams), axis=0)
-    counts, margins = [], []
-    for lam, tau in zip(lams, tol * s1):
-        window = np.abs(e - lam) <= 10 * tau / b.min()
-        sv = np.linalg.svd(apply(np.linalg.qr(U[:, window])[0], lam), compute_uv=False)
-        counts.append(int(np.sum(sv < tau)))
-        with np.errstate(divide="ignore"):
-            margins.append(float(np.min(np.abs(np.log10(sv / tau)), initial=1.0)))
-    return counts, margins
+    margin: float = 1.0
 
 
 def nd_spectrum(
@@ -421,7 +370,7 @@ def nd_spectrum(
     tol: float = DEFAULT_NULLITY_TOL,
     merge_tol: float = DEFAULT_MERGE_TOL,
     dirichlet: EigenDecomposition | None = None,
-) -> AtomicMeasure:
+) -> NDMeasure:
     """Counting measure of Neumann-Dirichlet eigenvalues.
 
     Only Dirichlet eigenvalues are candidates.  Eigenvalues within
@@ -429,6 +378,9 @@ def nd_spectrum(
     stacked-system nullity, evaluated on the cluster's eigenbasis: with V
     the b-orthonormal Dirichlet eigenvectors of the cluster, f = 0-extension
     of V c solves the stacked system iff A[boundary, interior] V c = 0.
+    The multiplicity is the cluster size less the number of singular
+    values of that flux above tol * max(sigma_1, max|A|, 1).  The flux
+    rows and max|A| are read from ``op.a_sums``, so no dense A_n is formed.
     A ``dirichlet`` decomposition without eigenvectors is solved again
     with them.
     """
@@ -436,17 +388,23 @@ def nd_spectrum(
     if eig is None or eig.eigenvectors is None:
         eig = spectrum(op, "dirichlet", vectors=True)
     if eig.size == 0:
-        return AtomicMeasure((), merge_tol)
-    A = op.matrix_float()
-    idx = op.interior
-    bidx = np.array(op.boundary, dtype=int)
-    flux = A[np.ix_(bidx, idx)]
-    scale_ = max(float(np.max(np.abs(A))), 1.0)
+        return NDMeasure((), merge_tol)
+    size, bidx = op.size, np.array(op.boundary, dtype=int)
+    vals = sums_float(*op.a_sums)
+    row, col = np.divmod(op.a_sums[0], size)
+    brow = np.full(size, -1)
+    brow[bidx] = np.arange(len(bidx))
+    keep = brow[row] >= 0
+    flux = np.zeros((len(bidx), size))
+    flux[brow[row[keep]], col[keep]] = vals[keep]
+    flux = flux[:, op.interior]
+    scale_ = max(float(np.max(np.abs(vals))), 1.0)
 
     order = np.argsort(eig.eigenvalues)
     lams = eig.eigenvalues[order]
     V = eig.eigenvectors[:, order]
     atoms = []
+    margin = 1.0
     start = 0
     while start < len(lams):
         stop = start + 1
@@ -458,8 +416,10 @@ def nd_spectrum(
         mult = (stop - start) - int(np.sum(sv > thresh))
         if mult > 0:
             atoms.append((float(np.mean(lams[start:stop])), mult))
+        with np.errstate(divide="ignore"):  # sigma = 0 is infinitely far below
+            margin = min(margin, float(np.min(np.abs(np.log10(sv / thresh)), initial=1.0)))
         start = stop
-    return AtomicMeasure.from_atoms(atoms, merge_tol)
+    return replace(NDMeasure.from_atoms(atoms, merge_tol), margin=margin)
 
 
 # -- argument-principle zero counting ------------------------------------------

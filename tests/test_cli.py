@@ -7,7 +7,7 @@ import pytest
 
 from fraclat import cli, spectral
 from fraclat.cli import EXIT_BAD_CONFIG, EXIT_CEILING, EXIT_OK, EXIT_VALIDATION, run
-from fraclat.operator import assemble, laplacian_base
+from fraclat.operator import LevelOperator, assemble, laplacian_base
 from fraclat.spectral import spectrum
 from fraclat.structure import build_level, builtin_gasket
 
@@ -134,6 +134,25 @@ def test_runs_that_check_or_write_nothing_are_refused(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["nd", "--tol", "nan"],
+    ["nd", "--tol", "0"],
+    ["nd", "--tol", "-1"],
+    ["nd", "--tol", "1"],
+    ["nd", "--tol", "inf"],
+    ["nd", "--merge-tol", "nan"],
+    ["nd", "--merge-tol", "-1e-9"],
+    ["spectrum", "--merge-tol", "inf"],
+    ["spectrum", "--merge-tol", "-1"],
+])
+def test_out_of_range_tolerances_are_refused(tmp_path, capsys, argv):
+    # --tol nan once reported 12 N-D eigenvalues at gasket level 2, --tol 0 and -1 none; 4 is right
+    out = tmp_path / "out"
+    assert run([*argv, "--builtin", "gasket", "--level", "2", "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert "error: argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_green_default_window_spans_the_spectrum(tmp_path):
     # green takes the pencil variable: the gasket Laplacian's spectrum, negated, in [0, 6]
     assert run(["green", "--builtin", "gasket", "--out", str(tmp_path)]) == EXIT_OK
@@ -243,6 +262,18 @@ def test_base_coupling_outside_the_cell_rejected(tmp_path, capsys, triplet):
     assert "error: base coupling" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pairs", [[[1, 2, "1"], [1, 2, "5"]], [[1, 2, "1"], [2, 1, "5"]]])
+def test_base_repeated_coupling_rejected(tmp_path, capsys, pairs):
+    # the later value once overwrote the earlier one without a word
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({"a": pairs, "b": ["1", "2"]}))
+    out = tmp_path / "out"
+    assert run(["spectrum", "--builtin", "interval:1/3", "--level", "1", "--base", str(path),
+                "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert f"error: base coupling ({pairs[1][0]}, {pairs[1][1]}) is given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("diagonal", [[[1, 1, "5"]], [[1, 1, "5"], [2, 2, "5"], [3, 3, "5"]]])
 def test_base_diagonal_coupling_rejected(tmp_path, capsys, diagonal):
     # all three were once dropped, leaving the unit base; (1, 1) alone was
@@ -346,18 +377,28 @@ def test_nd_solves_for_eigenvectors_once(tmp_path, monkeypatch):
 
 def test_nd_rho_column_equals_nd_nullity_at_every_atom(tmp_path, monkeypatch):
     tols = []
-    nd_nullities = cli.nd_nullities
-    monkeypatch.setattr(cli, "nd_nullities", lambda op, lams, eig, tol: tols.append(tol) or nd_nullities(op, lams, eig, tol))
+    nd_spectrum = cli.nd_spectrum
+    monkeypatch.setattr(cli, "nd_spectrum", lambda op, tol, **kw: tols.append(tol) or nd_spectrum(op, tol, **kw))
     argv = ["nd", "--builtin", "gasket", "--level", "3", "--tol", "1e-9", "--out", str(tmp_path)]
     assert run(argv) == EXIT_OK
-    nd = [l.split(",") for l in lines(tmp_path / "gasket_n3_nd.csv")[2:]]
+    nd = lines(tmp_path / "gasket_n3_nd.csv")[2:]
     rho = [l.split(",") for l in lines(tmp_path / "gasket_n3_rho.csv")[2:]]
-    assert [r[0] for r in rho] == [r[0] for r in nd]
+    assert [",".join(r) for r in rho] == nd
     assert tols == [1e-9]
     spec = builtin_gasket()
     op = assemble(laplacian_base(spec), spec, build_level(spec, 3))
     # %.17g round-trips every float
     assert [int(r[1]) for r in rho] == [spectral.nd_nullity(op, float(r[0]), 1e-9) for r in rho]
+
+
+def test_nd_never_densifies_the_operator(tmp_path, monkeypatch):
+    def no_dense(self):
+        raise AssertionError("nd formed a dense A_n")
+
+    monkeypatch.setattr(LevelOperator, "matrix_float", no_dense)
+    assert run(["nd", "--builtin", "gasket", "--level", "3", "--out", str(tmp_path)]) == EXIT_OK
+    rows = lines(tmp_path / "gasket_n3_rho.csv")[2:]
+    assert rows and rows == lines(tmp_path / "gasket_n3_nd.csv")[2:]
 
 
 def test_tolerance_defaults_are_spectral_constants():

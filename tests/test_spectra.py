@@ -1,15 +1,13 @@
 """spectra() and the solver pool: the paired Neumann/Dirichlet solve against
 two spectrum() calls, results returned through spectrum(), threads sharing
-one operator, the pool's failure paths, the rho table's nd_nullity
-against the N-D spectrum, and the windowed nd_nullities against the full
-SVD."""
+one operator, the pool's failure paths, and the full-SVD nd_nullity
+against the N-D spectrum that the rho table is written from."""
 
 import os
 import signal
 import sys
 import threading
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,14 +17,13 @@ from fraclat.cli import EXIT_BAD_CONFIG, EXIT_OK, run
 from fraclat.operator import assemble, laplacian_base
 from fraclat.spectral import (
     counting_measure,
-    nd_nullities,
     nd_nullity,
     nd_spectrum,
     spectra,
     spectrum,
     sup_cdf_distance,
 )
-from fraclat.structure import build_level, builtin_interval
+from fraclat.structure import build_level
 from test_r_tensor import rational_base
 from test_weighted_and_permuted import STRUCTURES
 
@@ -160,53 +157,25 @@ def test_worker_linalg_error_reaches_the_caller(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("name,levels", [("gasket", (2, 3, 4, 5)), ("star", (2, 3, 4)),
                                          ("zigzag", (2, 3, 4))])
 def test_rho_kernel_matches_nd_nullity(name, levels):
-    for n in levels:
-        op = _op(name, n)
-        nd = nd_spectrum(op)
-        lams = [float(loc) for loc, _ in nd.atoms]
-        lams += [float(x) for x in spectrum(op, "dirichlet").eigenvalues[::7][:4]] + [-0.123456]
-        # the SVD nullity is the N-D mass of the atom at lam, and 0 away from every atom
-        want = [sum(m for loc, m in nd.atoms if abs(loc - lam) <= nd.merge_tol) for lam in lams]
-        assert [nd_nullity(op, lam) for lam in lams] == want
+    spec = STRUCTURES[name]
+    runs = [(laplacian_base(spec), levels)]
+    if name != "zigzag":  # on a path seeded bases give float atoms of true N-D mass 0, a known defect
+        runs += [(rational_base(spec, seed), [n for n in levels if n <= 4]) for seed in (26, 3)]
+    for base, ns in runs:
+        for n in ns:
+            op = assemble(base, spec, build_level(spec, n))
+            nd = nd_spectrum(op)
+            assert 0.0 <= nd.margin <= 1.0
+            lams = [float(loc) for loc, _ in nd.atoms]
+            lams += [float(x) for x in spectrum(op, "dirichlet").eigenvalues[::7][:4]] + [-0.123456]
+            # the SVD nullity is the N-D mass of the atom at lam, and 0 away from every atom
+            want = [sum(m for loc, m in nd.atoms if abs(loc - lam) <= nd.merge_tol) for lam in lams]
+            assert [nd_nullity(op, lam) for lam in lams] == want, (base, n)
 
 
 def test_rho_kernel_without_interior():
     op = _op("gasket", 0)
     assert [nd_nullity(op, lam) for lam in (-3.0, -5.0)] == [0, 0]
-    eig = spectrum(op, "dirichlet", vectors=True)
-    assert nd_nullities(op, [-3.0, -5.0], eig) == ([0, 0], [1.0, 1.0])
-
-
-DIFFERENTIAL = {**STRUCTURES, "interval:2/7": builtin_interval(Fraction(2, 7))}
-
-
-@pytest.mark.parametrize("name,top", [("gasket", 5), ("star", 5), ("zigzag", 4),
-                                      ("interval:1/3", 8), ("interval:2/7", 8)])
-def test_windowed_nullities_match_the_full_svd(name, top):
-    # probes: every N-D atom, every 5th Dirichlet eigenvalue and one point
-    # off the spectrum.  Counts must agree wherever the full SVD's nearest
-    # singular value is at least 2x from its threshold; nearer ones may flip.
-    spec = DIFFERENTIAL[name]
-    probes = fragile = 0
-    for base in (laplacian_base(spec), rational_base(spec, 26), rational_base(spec, 3)):
-        for n in range(1, top + 1):
-            op = assemble(base, spec, build_level(spec, n))
-            eig = spectrum(op, "dirichlet", vectors=True)
-            lams = [float(loc) for loc, _ in nd_spectrum(op, dirichlet=eig).atoms]
-            lams += [float(x) for x in eig.eigenvalues[::5]] + [-0.123456]
-            got, margins = nd_nullities(op, lams, eig)
-            assert all(0.0 <= m <= 1.0 for m in margins)
-            A, b = op.matrix_float(), op.b_float()
-            for lam, count in zip(lams, got):
-                # nd_nullity's full SVD and threshold
-                sv = np.linalg.svd(spectral._stacked_system(A, b, op.interior, lam), compute_uv=False)
-                tau = 1e-8 * sv[0]
-                probes += 1
-                if np.any((sv > tau / 2) & (sv < 2 * tau)):
-                    fragile += 1
-                else:
-                    assert count == int(np.sum(sv < tau)), (n, lam)
-    assert fragile <= probes // 5, (fragile, probes)  # most probes are compared
 
 
 def test_decimation_skips_the_last_neumann_solve(tmp_path, monkeypatch):

@@ -218,6 +218,19 @@ def test_nd_multiplicities_stable_in_tol_level6(gasket_levels):
         assert [m for _, m in nd.atoms] == [m for _, m in ref]
 
 
+@pytest.mark.parametrize("n,tol", [(2, 0.1), (3, 0.01), (4, 0.01)])
+def test_nd_margin_is_the_distance_to_the_nearest_flip(gasket_levels, n, tol):
+    # every threshold scales with tol, so each count holds within the margin
+    # (in decades of tol) and one flips just beyond it; 1e-8 is far from any
+    op, eig = gasket_levels.op(n), gasket_levels.dirichlet(n)
+    nd = nd_spectrum(op, tol=tol, dirichlet=eig)
+    assert gasket_levels.nd(n).margin == 1.0 and 0 < nd.margin < 1
+    mass = {f: nd_spectrum(op, tol=tol * 10 ** (f * nd.margin), dirichlet=eig).total_mass
+            for f in (-1.01, -0.99, 0.99, 1.01)}
+    assert mass[-0.99] == mass[0.99] == nd.total_mass
+    assert mass[-1.01] != nd.total_mass or mass[1.01] != nd.total_mass
+
+
 def test_argument_principle_interval():
     spec = builtin_interval(Fraction(1, 2))
     for n in (2, 4):
