@@ -162,8 +162,8 @@ def _unit_tol(text: str) -> float:
     return value
 
 
-def _merge_tol(text: str) -> float:
-    """An eigenvalue-merging distance: finite and at least 0."""
+def _finite_nonnegative(text: str) -> float:
+    """A distance or tolerance: finite and at least 0."""
     value = float(text)
     if not 0 <= value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
@@ -185,13 +185,13 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="Neumann/Dirichlet counting measures as CSV")
     _add_common(p)
     p.add_argument("--level", type=int, default=1)
-    p.add_argument("--merge-tol", type=_merge_tol, default=DEFAULT_MERGE_TOL)
+    p.add_argument("--merge-tol", type=_finite_nonnegative, default=DEFAULT_MERGE_TOL)
 
     p = sub.add_parser("nd", help="Neumann-Dirichlet spectrum and rho table")
     _add_common(p)
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--tol", type=_unit_tol, default=DEFAULT_NULLITY_TOL)
-    p.add_argument("--merge-tol", type=_merge_tol, default=DEFAULT_MERGE_TOL)
+    p.add_argument("--merge-tol", type=_finite_nonnegative, default=DEFAULT_MERGE_TOL)
 
     p = sub.add_parser("dos", help="normalized density-of-states CDF samples")
     _add_common(p)
@@ -227,7 +227,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decimation", help="spectral-decimation containment diagnostic")
     p.add_argument("--n", type=_positive_int, default=3, help="max level (checks n -> n+1 pairs)")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=_finite_nonnegative, default=1e-7)
     p.add_argument("--out", default=".")
 
     p = sub.add_parser("matrix", help="export A_n and b_n as coordinate text")

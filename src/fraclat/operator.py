@@ -2,8 +2,8 @@
 
 The level-n operator is the weighted sum over all n-cells of copies of a
 base operator A on F; the level-n measure is the analogous sum of copies
-of the base weights b.  Assembly keeps exact (Fraction) coefficients when
-the inputs are exact; eigensolving densifies to float.
+of the base weights b.  Each sum is exact (Fraction coefficients) when
+its base matrix and cell weights are; eigensolving densifies to float.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .structure import LatticeLevel, StructureSpec, UnionFind, _over_lcm, is_exact
+from .structure import LatticeLevel, StructureSpec, UnionFind, _over_lcm, is_exact, numeric
 
 
 class DimensionError(ValueError):
@@ -90,15 +90,15 @@ def laplacian_base(spec: StructureSpec) -> BaseOperator:
     return BaseOperator(a=a, b=(one,) * n0)
 
 
-def cell_sums(lat: LatticeLevel, weights, M: np.ndarray, exact: bool = True):
+def cell_sums(lat: LatticeLevel, weights, M: np.ndarray):
     """The one cell-assembly kernel: sum w_c M[..., x, y] at (ids_c[x], ids_c[y])
     over every n-cell c (ids_c = lat.cell_ids[c]) and (x, y) nonzero in some
     matrix of the (..., N0, N0) stack M, by one scatter-add in (c, x, y)
     order.  Returns (keys, sums, den): sums of shape (..., len(keys)) at
-    sorted flat indices row * V + col, integer numerators over den when the
-    weights are exact and M is object dtype (int64 if a bound on every partial
-    sum and on den is below 2**53, else Python ints; with ``exact`` false each
-    product is rounded once before a float sum), else floats with den None."""
+    sorted flat indices row * V + col.  They are exact when both the weights
+    and M are (M of object dtype): integer numerators over den, int64 if a
+    bound on every partial sum and on den is below 2**53, else Python ints.
+    Otherwise they are floats, or complex when M is, with den None."""
     w, den = weights
     pattern = M != 0
     while pattern.ndim > 2:
@@ -115,8 +115,6 @@ def cell_sums(lat: LatticeLevel, weights, M: np.ndarray, exact: bool = True):
         bound = int(w.max()) * max(map(abs, m), default=0) * int(count.max(initial=0))
         dtype = np.int64 if bound < 2**53 and den < 2**53 else object
         vals = w.astype(dtype)[:, None] * m.astype(dtype).reshape(Mxy.shape)[..., None, :]
-        if not exact:
-            vals, den = (vals / den).astype(float), None
     else:
         w = w if den is None else (w / den).astype(float)
         vals, den = w[:, None] * (Mxy if M.dtype != object else Mxy.astype(float))[..., None, :], None
@@ -205,11 +203,9 @@ def assemble(base: BaseOperator, spec: StructureSpec, lat: LatticeLevel) -> Leve
             f"base operator has size {base.size}, structure needs {spec.N0}"
         )
     check_lattice(spec, lat)
-    exact = base.exact and is_exact(spec.alpha) and is_exact(spec.beta)
-    b = np.diag(np.array(base.b, dtype=object if is_exact(base.b) else float))
-    energy, measure = lat.energy_weights, lat.measure_weights
+    _, (b,) = numeric(np.diag(base.b))
     return LevelOperator(
-        base, lat, cell_sums(lat, energy, base.matrix(), exact), cell_sums(lat, measure, b, exact)
+        base, lat, cell_sums(lat, lat.energy_weights, base.matrix()), cell_sums(lat, lat.measure_weights, b)
     )
 
 

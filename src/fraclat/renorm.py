@@ -232,13 +232,10 @@ def is_g_invariant(spec: StructureSpec, Q: np.ndarray, tol: float = 0.0) -> bool
 
 
 def gasket_matrix(u0, u1) -> np.ndarray:
-    """Q = u0 p_W0 + u1 p_W1 on 3 points (W0 = constants)."""
-    exact = is_exact((u0, u1))
-    third = Fraction(1, 3) if exact else 1.0 / 3.0
-    J = np.full((3, 3), third, dtype=object)
-    I = np.diag([1, 1, 1]).astype(object)
-    M = u0 * J + u1 * (I - J)
-    return M if exact else np.asarray(M, dtype=complex)
+    """Q = u0 p_W0 + u1 p_W1 on 3 points (W0 = constants), classified by
+    structure.numeric."""
+    J = np.full((3, 3), Fraction(1, 3), dtype=object)
+    return numeric(u0 * J + u1 * (np.eye(3, dtype=int) - J))[1][0]
 
 
 def gasket_coords(Q: np.ndarray) -> tuple:
@@ -254,8 +251,9 @@ def gasket_coords(Q: np.ndarray) -> tuple:
 
 def level_matrix(ctx: RenormContext, Q: np.ndarray, lat: LatticeLevel | None = None) -> np.ndarray:
     """Assemble Q_<n> for Q or for every matrix of a (..., N0, N0) stack: the
-    weighted sum of copies of Q over all n-cells, exact (object Fractions)
-    when Q (by structure.numeric) and the energy weights are, else complex.
+    weighted sum of copies of Q over all n-cells, in the dtype of cell_sums:
+    exact (object Fractions) when Q (by structure.numeric) and the energy
+    weights are, else float64, or complex128 for complex Q.
     ``lat`` (level 1 by default) must be built from ctx.spec."""
     lat = ctx.level1 if lat is None else lat
     check_lattice(ctx.spec, lat)
@@ -264,7 +262,7 @@ def level_matrix(ctx: RenormContext, Q: np.ndarray, lat: LatticeLevel | None = N
     keys, sums, den = cell_sums(lat, lat.energy_weights, Q)
     shape = (*Q.shape[:-2], V * V)
     if den is None:
-        out = np.zeros(shape, dtype=complex)
+        out = np.zeros(shape, dtype=sums.dtype)
     else:
         out = np.full(shape, Fraction(0), dtype=object)
         sums = np.reshape(sums_exact(keys, sums.ravel(), den), sums.shape)
@@ -306,14 +304,10 @@ def r_iterate(ctx: RenormContext, X: GrassmannElement, n: int) -> GrassmannEleme
 
 def phi_rows(base: BaseOperator, lams) -> np.ndarray:
     """Coefficient rows of phi(lambda) for every lambda of lams: exp_q of the
-    stack of A - lambda diag(b), exact when base and every lambda are."""
-    dtype = object if base.exact and is_exact(lams) else complex
-    A = np.asarray(base.matrix(), dtype=dtype)
-    b = np.diag(np.asarray(base.b, dtype=dtype))
-    n = base.size
-    # the reshape keeps the (B, n, n) stack shape when lams is empty
-    Q = np.array([A - lam * b for lam in lams], dtype=dtype).reshape(len(lams), n, n)
-    return gr.exp_q_rows(Q)
+    stack of A - lambda diag(b), with A, b and lams classified together by
+    structure.numeric."""
+    _, (A, b, lams) = numeric(base.matrix(), np.diag(base.b), lams)
+    return gr.exp_q_rows(A - lams[:, None, None] * b)
 
 
 def phi(base: BaseOperator, lam) -> GrassmannElement:

@@ -382,13 +382,17 @@ def nd_spectrum(
     values of that flux above tol * max(sigma_1, max|A|, 1).  The flux
     rows and max|A| are read from ``op.a_sums``, so no dense A_n is formed.
     A ``dirichlet`` decomposition without eigenvectors is solved again
-    with them.
+    with them.  Raises ValueError unless 0 < tol < 1 and merge_tol is
+    finite and >= 0: outside those ranges every cluster, or none, would
+    count as null.
     """
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be a number in (0, 1), got {tol}")
+    if not 0 <= merge_tol < np.inf:
+        raise ValueError(f"merge_tol must be a finite number >= 0, got {merge_tol}")
     eig = dirichlet
     if eig is None or eig.eigenvectors is None:
         eig = spectrum(op, "dirichlet", vectors=True)
-    if eig.size == 0:
-        return NDMeasure((), merge_tol)
     size, bidx = op.size, np.array(op.boundary, dtype=int)
     vals = sums_float(*op.a_sums)
     row, col = np.divmod(op.a_sums[0], size)
@@ -398,7 +402,7 @@ def nd_spectrum(
     flux = np.zeros((len(bidx), size))
     flux[brow[row[keep]], col[keep]] = vals[keep]
     flux = flux[:, op.interior]
-    scale_ = max(float(np.max(np.abs(vals))), 1.0)
+    scale_ = float(np.max(np.abs(vals), initial=1.0))
 
     order = np.argsort(eig.eigenvalues)
     lams = eig.eigenvalues[order]

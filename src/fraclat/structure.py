@@ -390,8 +390,9 @@ def build_level(spec: StructureSpec, n: int) -> LatticeLevel:
 
     Level k is N copies of level k-1: candidate i V' + v is vertex v of copy
     i, and each closed level-1 class glues the candidates i V' + B'[x] of its
-    members (i, x).  A merged class keeps its smallest candidate, which has
-    the smallest word, so ids follow min words."""
+    members (i, x).  The classes are disjoint and distinct members give
+    distinct candidates, so each class maps straight to its smallest
+    candidate, which has the smallest word: ids follow min words."""
     if n < 0:
         raise ValueError("level must be >= 0")
     classes = spec.closed_relation_classes()
@@ -399,14 +400,10 @@ def build_level(spec: StructureSpec, n: int) -> LatticeLevel:
     ids = np.arange(N0, dtype=np.int64)[None, :]
     V, B = N0, np.arange(N0, dtype=np.int64)
     for _ in range(n):
-        uf = UnionFind()
-        for cls_ in classes:
-            first, *rest = (i * V + int(B[x]) for (i, x) in cls_)
-            for c in rest:
-                uf.union(first, c)
         root = np.arange(N * V)
-        for c in uf.parent:
-            root[c] = uf.find(c)
+        for cls_ in classes:
+            cands = [i * V + int(B[x]) for (i, x) in cls_]
+            root[cands] = min(cands)
         keep = root == np.arange(N * V)
         id_of = (np.cumsum(keep) - 1)[root]
         # row i + N r of level k is copy i of row r of level k-1

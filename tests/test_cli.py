@@ -16,6 +16,18 @@ def lines(path: Path):
     return path.read_text().splitlines()
 
 
+# (1, 1) ~ (2, 1) breaks the diagonal-singleton axiom
+BAD_STRUCTURE = {
+    "name": "bad",
+    "N": 3,
+    "N0": 3,
+    "relation": [[1, 2, 2, 1], [1, 3, 3, 1], [2, 3, 3, 2], [1, 1, 2, 1]],
+    "group": [[1, 2, 3]],
+    "alpha": [1, 1, 1],
+    "beta": [1, 1, 1],
+}
+
+
 def test_validate_builtin_gasket(capsys):
     assert run(["validate", "--builtin", "gasket"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -24,18 +36,17 @@ def test_validate_builtin_gasket(capsys):
 
 
 def test_validate_failure_exit_code(tmp_path):
-    bad = {
-        "name": "bad",
-        "N": 3,
-        "N0": 3,
-        "relation": [[1, 2, 2, 1], [1, 3, 3, 1], [2, 3, 3, 2], [1, 1, 2, 1]],
-        "group": [[1, 2, 3]],
-        "alpha": [1, 1, 1],
-        "beta": [1, 1, 1],
-    }
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
+    path.write_text(json.dumps(BAD_STRUCTURE))
     assert run(["validate", "--structure", str(path)]) == EXIT_VALIDATION
+
+
+def test_spectrum_on_an_invalid_structure_is_a_validation_failure(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_STRUCTURE))
+    out = tmp_path / "out"
+    assert run(["spectrum", "--structure", str(path), "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
 
 
 def test_missing_structure_is_config_error():
@@ -153,6 +164,25 @@ def test_out_of_range_tolerances_are_refused(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1e-9", "inf"])
+def test_decimation_refuses_out_of_range_tolerances(tmp_path, capsys, tol):
+    # --tol nan once reported FAIL and exit 2 for a containment that holds
+    out = tmp_path / "out"
+    assert run(["decimation", "--n", "2", "--tol", tol, "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert "error: argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_merge_tol_changes_the_atoms_and_the_header(tmp_path):
+    for merge_tol in ("1e-7", "0.6"):
+        assert run(["spectrum", "--builtin", "gasket", "--level", "2", "--merge-tol", merge_tol,
+                    "--out", str(tmp_path / merge_tol)]) == EXIT_OK
+    default, merged = (lines(tmp_path / t / "gasket_n2_dirichlet.csv") for t in ("1e-7", "0.6"))
+    assert default[0].endswith(", merge_tol: 1e-07") and merged[0].endswith(", merge_tol: 0.6")
+    assert [int(row.split(",")[1]) for row in default[2:]] == [3, 3, 1, 2, 2, 1]
+    assert [int(row.split(",")[1]) for row in merged[2:]] == [7, 2, 3]
+
+
 def test_green_default_window_spans_the_spectrum(tmp_path):
     # green takes the pencil variable: the gasket Laplacian's spectrum, negated, in [0, 6]
     assert run(["green", "--builtin", "gasket", "--out", str(tmp_path)]) == EXIT_OK
@@ -249,6 +279,16 @@ def test_invalid_base_operator_rejected(tmp_path):
     path.write_text(json.dumps(base))
     assert run(["spectrum", "--builtin", "gasket", "--level", "0", "--base", str(path),
                 "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
+
+
+def test_base_that_leaves_the_cell_disconnected_rejected(tmp_path, capsys):
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({"a": [], "b": ["1", "1"]}))
+    out = tmp_path / "out"
+    assert run(["spectrum", "--builtin", "interval:1/3", "--level", "1", "--base", str(path),
+                "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert "error: base operator couplings do not connect the cell" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("triplet", [[0, 1, "1"], [1, 5, "1"]])

@@ -73,20 +73,21 @@ def ref_cells(spec, n):
 
 
 def ref_assemble(base, spec, n):
-    """(entries, b, dense A as floats) by the per-cell loop."""
-    exact = base.exact and is_exact(spec.alpha) and is_exact(spec.beta)
-    zero = Fraction(0) if exact else 0.0
+    """(entries, b, dense A as floats) by the per-cell loop.  Each sum is
+    exact when its base matrix and weights are."""
+    base_mat = base.matrix()
+    zero_a = Fraction(0) if base_mat.dtype == object and is_exact(spec.alpha) else 0.0
+    zero_b = Fraction(0) if is_exact(base.b) and is_exact(spec.beta) else 0.0
     V = ref_build_level(spec, n)[3]
     entries: dict = {}
-    b = [zero] * V
-    base_mat = base.matrix()
+    b = [zero_b] * V
     for ids, wa, wb in ref_cells(spec, n):
         for x in range(spec.N0):
             b[ids[x]] += wb * base.b[x]
             for y in range(spec.N0):
                 if base_mat[x][y] != 0:
                     key = (ids[x], ids[y])
-                    entries[key] = entries.get(key, zero) + wa * base_mat[x][y]
+                    entries[key] = entries.get(key, zero_a) + wa * base_mat[x][y]
     entries = {k: v for k, v in entries.items() if v != 0}
     A = np.zeros((V, V))
     for (i, j), v in entries.items():
@@ -98,8 +99,8 @@ def ref_level_matrix(spec, Q, n):
     V = ref_build_level(spec, n)[3]
     if Q.dtype == object and is_exact(spec.alpha):
         out = np.full((V, V), Fraction(0), dtype=object)
-    else:
-        out = np.zeros((V, V), dtype=complex)
+    else:  # real Q and exact Q on float weights stay real
+        out = np.zeros((V, V), dtype=complex if np.iscomplexobj(Q) else float)
     for ids, w, _ in ref_cells(spec, n):
         for x in range(spec.N0):
             for y in range(spec.N0):
@@ -152,7 +153,7 @@ def float_weight_zigzag():
 
 
 def mixed_weight_interval():
-    # exact energy weights, float measure weights
+    # exact energy weights, float measure weights: A_n exact, b_n float
     return StructureSpec(
         "interval-mixed", 2, 2, (((0, 1), (1, 0)),), ((0, 1),),
         (Fraction(2, 7), Fraction(5, 7)), (5 / 7, 2 / 7),
@@ -185,7 +186,7 @@ def test_arrays_match_reference_loops(name):
         Qe = np.array(rational_base(spec).matrix(), dtype=object)
         Qc = rng.standard_normal((spec.N0,) * 2) + 1j * rng.standard_normal((spec.N0,) * 2)
         Qc[0, -1] = 0
-        for Q in (Qe, Qc):
+        for Q in (Qe, Qc, Qc.real):
             got, want = level_matrix(ctx, Q, lat), ref_level_matrix(spec, Q, n)
             if want.dtype == object:
                 assert got.dtype == object and (got == want).all()

@@ -139,6 +139,29 @@ def test_t_iterate_equals_level2_trace(gasket, gasket_ctx):
     assert np.max(np.abs(twice - direct)) <= 1e-10 * np.max(np.abs(direct))
 
 
+def test_real_input_stays_real_through_t(gasket_ctx, gasket_base):
+    # one rule: exact input gives Fractions, real float64 and complex complex128
+    rng = np.random.default_rng(12)
+    Qr = np.stack([gasket_matrix(*(rng.standard_normal(2) + 1)) for _ in range(4)])
+    Qc = Qr + 0.5j * np.eye(3)
+    Qe = gasket_matrix(Fraction(3, 2), Fraction(5, 4))
+    assert (Qr.dtype, Qc.dtype, Qe.dtype) == (np.float64, np.complex128, object)
+    for Q, dtype in ((Qr, np.float64), (Qc, np.complex128), (Qe, object)):
+        assert level_matrix(gasket_ctx, Q).dtype == dtype
+        assert t_map(gasket_ctx, Q).dtype == dtype
+        assert t_iterate(gasket_ctx, Q, 3).dtype == dtype
+    assert {type(v) for v in t_map(gasket_ctx, Qe).ravel()} == {Fraction}
+    # the real solves agree with complex ones up to rounding
+    T, Tc = t_iterate(gasket_ctx, Qr, 3), t_iterate(gasket_ctx, Qr.astype(complex), 3)
+    assert np.max(np.abs(T - Tc)) <= 1e-12 * np.max(np.abs(Tc))
+    lams = [-1.5, 0.25, 4.0]
+    x = phi_rows(gasket_base, lams)
+    assert x.dtype == np.float64
+    assert np.allclose(x, phi_rows(gasket_base, np.array(lams, dtype=complex)), rtol=1e-14, atol=0)
+    assert phi_rows(gasket_base, [complex(-1, 0.25)]).dtype == np.complex128
+    assert {type(v) for v in phi_rows(gasket_base, [0, Fraction(3, 2)]).ravel()} == {Fraction}
+
+
 # -- the Grassmann map R --------------------------------------------------------
 
 
@@ -290,6 +313,8 @@ def test_mu_nd_estimate_frozen(gasket_ctx, gasket_base):
     assert m.mass_at(-2.5) == Fraction(4, 27)
     assert m.mass_at(-1.5) == Fraction(3, 27)
     assert m.total_mass == Fraction(21, 27)
+    with pytest.raises(ValueError, match="tol must be a"):
+        mu_nd_estimate(gasket_ctx, gasket_base, 2, tol=math.nan)
 
 
 # -- Green function ------------------------------------------------------------------

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from fraclat.operator import assemble, laplacian_base
 from fraclat.spectral import (
+    DEFAULT_MERGE_TOL,
     AtomicMeasure,
+    NDMeasure,
     _stacked_system,
     argument_principle_count,
     counting_measure,
@@ -143,6 +145,25 @@ def test_dominates_detects_missing_mass():
 
 def test_nd_level1_empty(gasket_levels):
     assert nd_spectrum(gasket_levels.op(1)).atoms == ()
+
+
+def test_nd_level0_empty(gasket_levels):
+    # every vertex is on the boundary: no Dirichlet eigenvalue, no candidate
+    nd = nd_spectrum(gasket_levels.op(0))
+    assert nd == NDMeasure((), DEFAULT_MERGE_TOL, margin=1.0)
+    assert nd.total_mass == 0
+
+
+@pytest.mark.parametrize("kw", [
+    {"tol": math.nan}, {"tol": 2.0}, {"tol": 1.0}, {"tol": 0.0}, {"tol": -1.0},
+    {"merge_tol": math.nan}, {"merge_tol": math.inf}, {"merge_tol": -1e-9},
+])
+def test_nd_spectrum_refuses_out_of_range_tolerances(gasket_levels, kw):
+    # tol nan or 2 once gave N-D mass 12 at gasket level 2, tol 0 or -1 gave 0; 4 is right
+    op = gasket_levels.op(2)
+    assert nd_spectrum(op).total_mass == 4
+    with pytest.raises(ValueError, match="tol must be a"):
+        nd_spectrum(op, **kw)
 
 
 def test_nd_level3_frozen(gasket_levels):

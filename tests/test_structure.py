@@ -39,6 +39,14 @@ def test_disconnected_relation_fails():
     assert "cell-graph-connected" in report.failures
 
 
+def test_weights_not_invariant_under_the_group_fail():
+    # the swap preserves the glue but exchanges unequal alphas; (H) still holds
+    alpha = (Fraction(1, 3), Fraction(2, 3))
+    spec = StructureSpec("swapped", 2, 2, (((0, 1), (1, 0)),), ((0, 1), (1, 0)), alpha, alpha[::-1])
+    report = validate_structure(spec)
+    assert report.failures == ("group-invariance",)
+
+
 def test_broken_h_assumption_fails():
     spec = StructureSpec(
         "noH", 2, 2, (((0, 1), (1, 0)),), ((0, 1),),
